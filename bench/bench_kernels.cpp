@@ -8,6 +8,8 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/engine.h"
 #include "core/fifo.h"
 #include "datasets/dataset.h"
@@ -36,9 +38,10 @@ BM_LinearAccumulate(benchmark::State &state)
     Linear lin(dim, dim);
     lin.init_glorot(rng);
     Vec x(dim, 0.5f);
+    Vec acc(dim);
     for (auto _ : state) {
-        Vec acc = lin.bias();
-        lin.accumulate(acc, x, 0, dim);
+        std::copy(lin.bias().begin(), lin.bias().end(), acc.begin());
+        lin.accumulate(x.data(), acc.data(), 0, dim);
         benchmark::DoNotOptimize(acc.data());
     }
     state.SetItemsProcessed(state.iterations() * dim * dim);

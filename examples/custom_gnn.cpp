@@ -11,13 +11,13 @@
  * skeleton, multi-queue dataflow, multicast adapter, and parallelism
  * machinery all come from the framework unchanged.
  */
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
 #include "core/engine.h"
 #include "datasets/dataset.h"
 #include "nn/encoder_layer.h"
-#include "tensor/ops.h"
 
 using namespace flowgnn;
 
@@ -53,38 +53,37 @@ class NewGnnLayer : public Layer
     {
         return AggregatorKind::kMax;
     }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
-    // Line 14-17: the per-edge message function.
-    Vec
-    message(const Vec &x_src, const float *edge_feat,
-            std::size_t edge_dim, NodeId, NodeId,
-            const LayerContext &) const override
+    // Line 14-17: the per-edge message function, written into the
+    // framework's message buffer.
+    void
+    message_into(const float *x_src, const float *edge_feat, NodeId,
+                 NodeId, const LayerContext &, float *msg) const override
     {
-        Vec msg = x_src;
-        if (edge_dim_ > 0 && edge_feat != nullptr &&
-            edge_dim == edge_dim_) {
-            Vec e(edge_feat, edge_feat + edge_dim);
-            add_inplace(msg, edge_enc_.forward(e));
-        }
-        apply_activation(msg, Activation::kRelu);
-        return msg;
+        encode_edge_message(edge_enc_, x_src, edge_feat, dim_, msg);
+        apply_activation(msg, dim_, Activation::kRelu);
     }
 
-    // Line 10-13: the node transformation.
-    Vec
-    transform(const Vec &x_self, const Vec &agg, NodeId,
-              const LayerContext &) const override
+    // Line 10-13: the node transformation. `scratch` holds the
+    // scratch_dim() floats declared below.
+    void
+    transform_into(const float *x_self, const float *agg, NodeId,
+                   const LayerContext &, float *out,
+                   float *scratch) const override
     {
-        Vec mixed = mix_.forward(agg);
-        Vec gate_in = concat({x_self, agg});
-        Vec gate = gate_.forward(gate_in);
-        apply_activation(gate, Activation::kSigmoid);
-        Vec out(dim_);
+        float *mixed = scratch;
+        float *gate_in = mixed + dim_;
+        float *gate = gate_in + 2 * dim_;
+        mix_.forward_into(agg, mixed);
+        std::copy(x_self, x_self + dim_, gate_in);
+        std::copy(agg, agg + dim_, gate_in + dim_);
+        gate_.forward_into(gate_in, gate);
+        apply_activation(gate, dim_, Activation::kSigmoid);
         for (std::size_t i = 0; i < dim_; ++i)
             out[i] = gate[i] * x_self[i] + (1.0f - gate[i]) * mixed[i];
-        return out;
     }
+    std::size_t scratch_dim() const override { return 4 * dim_; }
 
     std::vector<std::size_t> nt_pass_dims() const override
     {

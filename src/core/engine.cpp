@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "core/phase_model.h"
 #include "graph/partition.h"
@@ -32,10 +33,14 @@ struct RunWorkspace::Impl {
     std::vector<std::vector<BankWork>> banks;
     std::vector<std::uint64_t> acc_cycles;
     std::vector<std::uint64_t> acc_zero;
-    std::vector<Vec> cur;
-    std::vector<Vec> out;
+    Matrix cur; ///< embeddings entering the stage, one row per node
+    Matrix out; ///< the stage's outputs, one row per node
+    Matrix gat_scores; ///< GatLayer::node_scores of the projections
     std::vector<float> prev_state;
     std::vector<float> next_state;
+    Vec msg;     ///< one message, written by the MP callback
+    Vec fin;     ///< one finalized aggregate, read by the NT callback
+    Vec scratch; ///< transform_into / gat_combine scratch
 };
 
 RunWorkspace::RunWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -47,6 +52,21 @@ Engine::Engine(const Model &model, EngineConfig config)
     : model_(model), config_(config)
 {
     config_.validate();
+    // An NT-to-MP conv's messages are scattered during the previous
+    // stage's phase, so it needs an NT-to-MP predecessor (an encoder
+    // or another conv); otherwise its aggregate would never exist.
+    for (std::size_t si = 0; si < model_.num_stages(); ++si) {
+        const Layer &stage = model_.stage(si);
+        if (stage.msg_dim() > 0 &&
+            stage.dataflow() == DataflowKind::kNtToMp &&
+            (si == 0 || model_.stage(si - 1).dataflow() !=
+                            DataflowKind::kNtToMp))
+            throw std::invalid_argument(
+                "Engine: stage " + std::to_string(si) + " (" +
+                stage.name() +
+                ") aggregates messages but no preceding NT-to-MP stage "
+                "scatters them");
+    }
 }
 
 RunResult
@@ -113,7 +133,11 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
     if (resuming && ckpt.next_stage >= model_.num_stages())
         throw std::invalid_argument(
             "Engine: checkpoint resume point past the last stage");
-    if (resuming && ckpt.embeddings.size() != prepared.num_nodes())
+    model_.check_sample(prepared.node_dim, prepared.edge_dim);
+    if (resuming &&
+        (ckpt.embeddings.rows() != prepared.num_nodes() ||
+         ckpt.embeddings.cols() !=
+             model_.stage(ckpt.next_stage - 1).out_dim()))
         throw std::invalid_argument(
             "Engine: checkpoint does not match the sample");
 
@@ -180,24 +204,26 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
     // ---- Functional state ----
     const bool quant = opts.emulate_fixed_point;
     const FixedPointFormat &fmt = opts.fixed_point;
-    std::vector<Vec> &cur = wsi.cur;
-    std::vector<Vec> &out = wsi.out;
-    out.resize(n_nodes);
+    Matrix &cur = wsi.cur;
+    Matrix &out = wsi.out;
     if (resuming) {
         cur = std::move(ckpt.embeddings);
     } else {
-        cur.resize(n_nodes);
+        cur.resize(n_nodes, prepared.node_dim);
         for (NodeId i = 0; i < n_nodes; ++i) {
-            if (prepared.node_dim > 0) {
-                const float *row = prepared.node_row(i);
-                cur[i].assign(row, row + prepared.node_dim);
-            } else {
-                cur[i].clear();
-            }
+            if (prepared.node_dim == 0)
+                continue;
+            const float *row = prepared.node_row(i);
+            std::copy(row, row + prepared.node_dim, cur.row(i));
             if (quant)
-                quantize_inplace(cur[i], fmt);
+                quantize_inplace(cur.row(i), prepared.node_dim, fmt);
         }
     }
+    // Grows (never shrinks) the shared kernel scratch.
+    auto reserve_scratch = [&](std::size_t floats) {
+        if (wsi.scratch.size() < floats)
+            wsi.scratch.resize(floats);
+    };
 
     Aggregator prev_agg;        // aggregator of messages consumed now
     std::vector<float> &prev_state = wsi.prev_state;
@@ -223,23 +249,28 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
         }
     }
 
+    // 'cur' holds the pending GAT stage's projections: combine them
+    // through 'out' (free until this stage's NT writes it).
     auto combine_pending_gat = [&]() {
         if (pending_gat == nullptr)
             return;
         if (!csc)
             csc = std::make_unique<CscGraph>(prepared.graph, threads);
-        std::vector<Vec> combined(n_nodes);
+        const std::size_t width = pending_gat->out_dim();
+        Matrix &scores = wsi.gat_scores;
+        scores.resize(n_nodes, pending_gat->score_dim());
+        for (NodeId i = 0; i < n_nodes; ++i)
+            pending_gat->node_scores(cur.row(i), scores.row(i));
+        reserve_scratch(pending_gat->score_dim());
+        out.resize(n_nodes, width);
         for (NodeId i = 0; i < n_nodes; ++i) {
-            std::vector<const Vec *> nbrs;
-            nbrs.reserve(csc->in_degree(i));
-            for (std::size_t s = csc->col_begin(i); s < csc->col_end(i);
-                 ++s)
-                nbrs.push_back(&cur[csc->src(s)]);
-            combined[i] = gat_combine(*pending_gat, cur[i], nbrs);
+            gat_combine(*pending_gat, cur.data(), scores.data(), i,
+                        csc->srcs(i), csc->in_degree(i), out.row(i),
+                        wsi.scratch.data());
             if (quant)
-                quantize_inplace(combined[i], fmt);
+                quantize_inplace(out.row(i), width, fmt);
         }
-        cur = std::move(combined);
+        std::swap(cur, out);
         pending_gat = nullptr;
     };
 
@@ -303,24 +334,33 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
                               std::size_t(i) * next_agg.state_dim());
         }
 
-        // Functional NT: compute this stage's node outputs.
-        w.on_nt_complete = [&, is_gat, gat](NodeId node) {
+        // Functional NT: compute this stage's node outputs into their
+        // 'out' rows; the kernels work in the workspace scratch.
+        const std::size_t out_dim = stage.out_dim();
+        out.resize(n_nodes, out_dim);
+        reserve_scratch(stage.scratch_dim());
+        if (have_prev_agg && !is_gat)
+            wsi.fin.resize(prev_agg.out_dim());
+        w.on_nt_complete = [&, is_gat, gat, out_dim](NodeId node) {
+            float *y = out.row(node);
             if (is_gat) {
-                out[node] = gat->project(cur[node]);
+                gat->project_into(cur.row(node), y);
             } else if (have_prev_agg) {
-                Vec fin = prev_agg.finalize(
+                float *fin = wsi.fin.data();
+                prev_agg.finalize_into(
                     prev_state.data() +
                         std::size_t(node) * prev_agg.state_dim(),
-                    ctx.in_deg[node], ctx.pna);
+                    ctx.in_deg[node], ctx.pna, fin);
                 if (quant)
-                    quantize_inplace(fin, fmt);
-                out[node] = stage.transform(cur[node], fin, node, ctx);
+                    quantize_inplace(fin, prev_agg.out_dim(), fmt);
+                stage.transform_into(cur.row(node), fin, node, ctx, y,
+                                     wsi.scratch.data());
             } else {
-                Vec empty;
-                out[node] = stage.transform(cur[node], empty, node, ctx);
+                stage.transform_into(cur.row(node), nullptr, node, ctx, y,
+                                     wsi.scratch.data());
             }
             if (quant)
-                quantize_inplace(out[node], fmt);
+                quantize_inplace(y, out_dim, fmt);
         };
 
         // Functional MP: accumulate this node's messages into the
@@ -329,8 +369,11 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
         if (w.has_scatter && !is_gat) {
             Aggregator *agg_ptr = &next_agg;
             std::vector<float> *state_ptr = &next_state;
+            wsi.msg.resize(scatter_stage->msg_dim());
             w.on_mp_complete = [&, agg_ptr, state_ptr, scatter_stage](
                                    NodeId node, std::uint32_t bank) {
+                float *msg = wsi.msg.data();
+                const std::size_t msg_dim = wsi.msg.size();
                 for (std::size_t s = csr.row_begin(node);
                      s < csr.row_end(node); ++s) {
                     NodeId dst = csr.dst(s);
@@ -340,13 +383,13 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
                     const float *ef = edge_dim
                         ? efeat + std::size_t(eid) * edge_dim
                         : nullptr;
-                    Vec msg = scatter_stage->message(
-                        out[node], ef, edge_dim, node, dst, ctx);
+                    scatter_stage->message_into(out.row(node), ef, node,
+                                                dst, ctx, msg);
                     if (quant)
-                        quantize_inplace(msg, fmt);
+                        quantize_inplace(msg, msg_dim, fmt);
                     float *dst_state = state_ptr->data() +
                         std::size_t(dst) * agg_ptr->state_dim();
-                    agg_ptr->accumulate(dst_state, msg.data());
+                    agg_ptr->accumulate(dst_state, msg);
                     if (quant)
                         quantize_inplace(dst_state,
                                          agg_ptr->state_dim(), fmt);
@@ -421,9 +464,7 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
 
     // Global mean pooling (accumulated while the final embeddings
     // stream out — free) + the MLP head.
-    result.embeddings = Matrix(n_nodes, model_.embedding_dim());
-    for (NodeId i = 0; i < n_nodes; ++i)
-        result.embeddings.set_row(i, cur[i]);
+    result.embeddings = cur;
     Vec pooled =
         model_.global_pool(result.embeddings, prepared.pool_nodes());
     result.prediction = model_.head().forward(pooled)[0];

@@ -80,9 +80,10 @@ struct RunResult {
 struct LayerCheckpoint {
     /** Stages completed; the resume point. 0 = a fresh run. */
     std::size_t next_stage = 0;
-    /** Per-node embeddings entering `next_stage` (quantized values
-     * are stored post-quantization, so bits are preserved). */
-    std::vector<Vec> embeddings;
+    /** Per-node embeddings entering `next_stage`, one row per node
+     * (quantized values are stored post-quantization, so bits are
+     * preserved). */
+    Matrix embeddings;
     /** Pending aggregation state (num_nodes x state_dim, flat), the
      * messages scattered for `next_stage`; empty when have_agg is
      * false. */
@@ -101,10 +102,7 @@ struct LayerCheckpoint {
     std::uint64_t
     checkpoint_words() const
     {
-        std::uint64_t words = agg_state.size();
-        for (const Vec &row : embeddings)
-            words += row.size();
-        return words;
+        return agg_state.size() + embeddings.size();
     }
 };
 

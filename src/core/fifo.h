@@ -16,32 +16,34 @@
 #define FLOWGNN_CORE_FIFO_H
 
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <utility>
+#include <vector>
 
 namespace flowgnn {
 
-/** Bounded FIFO modeling a hardware stream between pipeline units. */
+/**
+ * Bounded FIFO modeling a hardware stream between pipeline units.
+ * Storage is a ring that grows to the peak occupancy and is then
+ * reused, so a queue in steady state stops allocating however many
+ * items stream through it.
+ */
 template <typename T>
 class Fifo
 {
   public:
     explicit Fifo(std::size_t capacity = 8) : capacity_(capacity) {}
 
-    bool empty() const { return items_.empty(); }
-    bool full() const { return items_.size() >= capacity_; }
-    std::size_t size() const { return items_.size(); }
+    bool empty() const { return size_ == 0; }
+    bool full() const { return size_ >= capacity_; }
+    std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
     /** Pushes if space is available; returns false (backpressure) if not. */
     bool
     push(const T &item)
     {
-        if (full())
-            return false;
-        items_.push_back(item);
-        record_push();
-        return true;
+        return !full() && push(T(item));
     }
 
     /** Move push, for element types that are move-only (e.g. the serve
@@ -51,21 +53,40 @@ class Fifo
     {
         if (full())
             return false;
-        items_.push_back(std::move(item));
+        if (size_ == ring_.size())
+            resize_ring(ring_.empty() ? 4 : 2 * ring_.size());
+        std::size_t tail = head_ + size_;
+        if (tail >= ring_.size())
+            tail -= ring_.size();
+        ring_[tail].emplace(std::move(item));
+        ++size_;
         record_push();
         return true;
+    }
+
+    /** Pre-sizes the ring for `items` (capped at the capacity), like
+     * vector::reserve: no push allocates until occupancy exceeds it. */
+    void
+    reserve(std::size_t items)
+    {
+        if (ring_.size() < items)
+            resize_ring(items);
     }
 
     /** Pops the oldest item; call only when !empty(). */
     T
     pop()
     {
-        T item = std::move(items_.front());
-        items_.pop_front();
+        T item = std::move(*ring_[head_]);
+        ring_[head_].reset();
+        ++head_;
+        if (head_ == ring_.size())
+            head_ = 0;
+        --size_;
         return item;
     }
 
-    const T &front() const { return items_.front(); }
+    const T &front() const { return *ring_[head_]; }
 
     /** Lifetime statistics for queue-sizing studies. */
     std::uint64_t total_pushes() const { return total_pushes_; }
@@ -76,12 +97,30 @@ class Fifo
     record_push()
     {
         ++total_pushes_;
-        if (items_.size() > peak_occupancy_)
-            peak_occupancy_ = items_.size();
+        if (size_ > peak_occupancy_)
+            peak_occupancy_ = size_;
+    }
+
+    /** Re-seats the items, oldest first, in a ring of `slots` slots
+     * (capped at the capacity); a no-op unless that grows the ring. */
+    void
+    resize_ring(std::size_t slots)
+    {
+        if (slots > capacity_)
+            slots = capacity_;
+        if (slots <= ring_.size())
+            return;
+        std::vector<std::optional<T>> bigger(slots);
+        for (std::size_t i = 0; i < size_; ++i)
+            bigger[i].emplace(std::move(*ring_[(head_ + i) % ring_.size()]));
+        ring_ = std::move(bigger);
+        head_ = 0;
     }
 
     std::size_t capacity_;
-    std::deque<T> items_;
+    std::vector<std::optional<T>> ring_;
+    std::size_t head_ = 0; ///< slot of the oldest item
+    std::size_t size_ = 0;
     std::uint64_t total_pushes_ = 0;
     std::size_t peak_occupancy_ = 0;
 };

@@ -18,8 +18,12 @@ struct QueueEntry {
 
 /** NT unit: double-buffered accumulate/output state machine. */
 struct NtUnitState {
-    std::vector<NodeId> nodes; ///< assigned nodes, in order
-    std::size_t next = 0;      ///< next node to start accumulating
+    /** Nodes are assigned round-robin: unit u owns u, u + Pnode, ...
+     * `next` is the next one to start accumulating, `end` the node
+     * count. */
+    std::uint64_t next = 0;
+    std::uint64_t stride = 1;
+    std::uint64_t end = 0;
     bool acc_active = false;
     NodeId acc_node = 0;
     std::uint64_t acc_rem = 0;
@@ -34,8 +38,7 @@ struct NtUnitState {
     bool
     done() const
     {
-        return next >= nodes.size() && !acc_active && !pong_full &&
-               !out_active;
+        return next >= end && !acc_active && !pong_full && !out_active;
     }
 };
 
@@ -90,15 +93,20 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
 
     // Assign nodes round-robin to NT units.
     std::vector<NtUnitState> nt(pn);
-    for (NodeId n = 0; n < w.n_nodes; ++n)
-        nt[n % pn].nodes.push_back(n);
+    for (std::uint32_t u = 0; u < pn; ++u) {
+        nt[u].next = u;
+        nt[u].stride = pn;
+        nt[u].end = w.n_nodes;
+    }
 
     std::vector<AdapterPort> port(pn);
     std::vector<MpUnitState> mp(pe);
     std::vector<Fifo<QueueEntry>> queues;
     queues.reserve(std::size_t(pn) * pe);
-    for (std::size_t i = 0; i < std::size_t(pn) * pe; ++i)
+    for (std::size_t i = 0; i < std::size_t(pn) * pe; ++i) {
         queues.emplace_back(cfg.queue_depth);
+        queues.back().reserve(cfg.queue_depth);
+    }
     auto queue_at = [&](std::uint32_t u, std::uint32_t m) -> auto & {
         return queues[std::size_t(u) * pe + m];
     };
@@ -326,8 +334,9 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 }
             }
             if (!unit.acc_active && !unit.pong_full &&
-                unit.next < unit.nodes.size()) {
-                unit.acc_node = unit.nodes[unit.next++];
+                unit.next < unit.end) {
+                unit.acc_node = static_cast<NodeId>(unit.next);
+                unit.next += unit.stride;
                 std::uint64_t c = (*w.acc_cycles)[unit.acc_node];
                 if (c == 0) {
                     // Zero-cost accumulate (the re-stream round of GAT,

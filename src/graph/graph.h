@@ -183,6 +183,9 @@ class CscGraph
     NodeId src(std::size_t i) const { return src_[i]; }
     EdgeId edge_id(std::size_t i) const { return edge_id_[i]; }
 
+    /** Node n's in-neighbors, in_degree(n) contiguous entries. */
+    const NodeId *srcs(NodeId n) const { return src_.data() + col_begin(n); }
+
     std::uint32_t in_degree(NodeId n) const
     {
         return static_cast<std::uint32_t>(col_end(n) - col_begin(n));

@@ -140,73 +140,75 @@ Aggregator::accumulate(float *state, const float *msg) const
     }
 }
 
-Vec
-Aggregator::finalize(const float *state, std::uint32_t degree,
-                     const PnaParams &params) const
+void
+Aggregator::finalize_into(const float *state, std::uint32_t degree,
+                          const PnaParams &params, float *out) const
 {
+    const std::size_t m = msg_dim_;
     switch (kind_) {
       case AggregatorKind::kSum:
-        return Vec(state, state + msg_dim_);
+        std::copy(state, state + m, out);
+        return;
       case AggregatorKind::kMean: {
         float count = std::max(state[0], 1.0f);
-        Vec out(msg_dim_);
-        for (std::size_t i = 0; i < msg_dim_; ++i)
+        for (std::size_t i = 0; i < m; ++i)
             out[i] = state[1 + i] / count;
-        return out;
+        return;
       }
       case AggregatorKind::kMax:
-      case AggregatorKind::kMin: {
-        Vec out(msg_dim_, 0.0f);
+      case AggregatorKind::kMin:
         if (state[0] > 0.0f)
-            for (std::size_t i = 0; i < msg_dim_; ++i)
-                out[i] = state[1 + i];
-        return out;
-      }
+            std::copy(state + 1, state + 1 + m, out);
+        else
+            std::fill(out, out + m, 0.0f);
+        return;
       case AggregatorKind::kDgn: {
         // First half: mean aggregator. Second half: |directional sum|.
         float count = std::max(state[0], 1.0f);
-        std::size_t half = msg_dim_ / 2;
-        Vec out(msg_dim_);
+        std::size_t half = m / 2;
         for (std::size_t i = 0; i < half; ++i)
             out[i] = state[1 + i] / count;
-        for (std::size_t i = half; i < msg_dim_; ++i)
+        for (std::size_t i = half; i < m; ++i)
             out[i] = std::abs(state[1 + i]);
-        return out;
+        return;
       }
       case AggregatorKind::kPna: {
+        // Unscaled aggregates first: out = [mean | std | max | min].
         float count = state[0];
-        Vec mean(msg_dim_, 0.0f), stdv(msg_dim_, 0.0f);
-        Vec mx(msg_dim_, 0.0f), mn(msg_dim_, 0.0f);
+        float *mean = out;
+        float *stdv = mean + m;
+        float *mx = stdv + m;
+        float *mn = mx + m;
         if (count > 0.0f) {
             const float *sum = state + 1;
-            const float *sumsq = sum + msg_dim_;
-            const float *smax = sumsq + msg_dim_;
-            const float *smin = smax + msg_dim_;
-            for (std::size_t i = 0; i < msg_dim_; ++i) {
+            const float *sumsq = sum + m;
+            const float *smax = sumsq + m;
+            const float *smin = smax + m;
+            for (std::size_t i = 0; i < m; ++i) {
                 mean[i] = sum[i] / count;
                 float var = sumsq[i] / count - mean[i] * mean[i];
                 stdv[i] = std::sqrt(std::max(var, 0.0f) + kStdEps);
                 mx[i] = smax[i];
                 mn[i] = smin[i];
             }
+        } else {
+            std::fill(out, out + 4 * m, 0.0f);
         }
         // Scalers: identity, amplification, attenuation (paper Eq. 3).
+        // The identity block is already in place (1 * a == a exactly);
+        // the other two scale it.
         float logd = std::log(static_cast<float>(degree) + 1.0f);
         float amp = logd / params.delta;
         float att = logd > 0.0f ? params.delta / logd : 1.0f;
-
-        Vec out;
-        out.reserve(out_dim());
-        const float scalers[3] = {1.0f, amp, att};
-        const Vec *aggs[4] = {&mean, &stdv, &mx, &mn};
-        for (float s : scalers)
-            for (const Vec *a : aggs)
-                for (std::size_t i = 0; i < msg_dim_; ++i)
-                    out.push_back(s * (*a)[i]);
-        return out;
+        float *amp_out = out + 4 * m;
+        float *att_out = amp_out + 4 * m;
+        for (std::size_t i = 0; i < 4 * m; ++i) {
+            amp_out[i] = amp * out[i];
+            att_out[i] = att * out[i];
+        }
+        return;
       }
     }
-    return Vec(msg_dim_, 0.0f);
 }
 
 } // namespace flowgnn

@@ -63,14 +63,16 @@ class Aggregator
     void accumulate(float *state, const float *msg) const;
 
     /**
-     * Produces the finalized aggregate for the NT unit.
+     * Produces the finalized aggregate for the NT unit: writes out_dim()
+     * floats to `out` (which must not alias `state`).
      *
      * @param state   accumulated per-node state
      * @param degree  the destination node's in-degree (PNA scalers)
      * @param params  PNA scaling parameters
+     * @param out     destination, out_dim() floats
      */
-    Vec finalize(const float *state, std::uint32_t degree,
-                 const PnaParams &params) const;
+    void finalize_into(const float *state, std::uint32_t degree,
+                       const PnaParams &params, float *out) const;
 
   private:
     AggregatorKind kind_ = AggregatorKind::kSum;

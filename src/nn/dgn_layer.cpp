@@ -1,8 +1,7 @@
 #include "nn/dgn_layer.h"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "tensor/ops.h"
 
 namespace flowgnn {
 
@@ -17,44 +16,36 @@ DgnLayer::DgnLayer(std::size_t dim, std::size_t edge_dim, Activation act,
     mix_.init_glorot(rng);
 }
 
-Vec
-DgnLayer::message(const Vec &x_src, const float *edge_feat,
-                  std::size_t edge_dim, NodeId src, NodeId dst,
-                  const LayerContext &ctx) const
+void
+DgnLayer::message_into(const float *x_src, const float *edge_feat,
+                       NodeId src, NodeId dst, const LayerContext &ctx,
+                       float *msg) const
 {
     if (ctx.dgn_field == nullptr)
         throw std::invalid_argument("DgnLayer: sample has no dgn_field");
 
-    Vec m = x_src;
-    if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        Vec e(edge_feat, edge_feat + edge_dim);
-        add_inplace(m, edge_enc_.forward(e));
-    }
+    // msg = [m, w*m]: the mean half, then the directional half.
+    float *m = msg;
+    encode_edge_message(edge_enc_, x_src, edge_feat, dim_, m);
 
     // Directional weight from the vector field, normalized at the
     // destination (anisotropic: depends on both endpoints).
     float w = (ctx.dgn_field[src] - ctx.dgn_field[dst]) /
               ctx.dgn_norm[dst];
-
-    Vec msg;
-    msg.reserve(2 * dim_);
-    msg.insert(msg.end(), m.begin(), m.end());
-    for (float v : m)
-        msg.push_back(w * v);
-    return msg;
+    for (std::size_t i = 0; i < dim_; ++i)
+        msg[dim_ + i] = w * m[i];
 }
 
-Vec
-DgnLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                    const LayerContext &) const
+void
+DgnLayer::transform_into(const float *x_self, const float *agg, NodeId,
+                         const LayerContext &, float *out,
+                         float *scratch) const
 {
-    Vec combined;
-    combined.reserve(3 * dim_);
-    combined.insert(combined.end(), x_self.begin(), x_self.end());
-    combined.insert(combined.end(), agg.begin(), agg.end());
-    Vec out = mix_.forward(combined);
-    apply_activation(out, act_);
-    return out;
+    // [x_self || mean || dir], one input-stationary pass.
+    std::copy(x_self, x_self + dim_, scratch);
+    std::copy(agg, agg + 2 * dim_, scratch + dim_);
+    mix_.forward_into(scratch, out);
+    apply_activation(out, dim_, act_);
 }
 
 } // namespace flowgnn

@@ -37,20 +37,24 @@ class DgnLayer : public Layer
     {
         return AggregatorKind::kDgn;
     }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message_into(const float *x_src, const float *edge_feat,
+                      NodeId src, NodeId dst, const LayerContext &ctx,
+                      float *msg) const override;
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform_into(const float *x_self, const float *agg,
+                        NodeId node, const LayerContext &ctx, float *out,
+                        float *scratch) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
         // One pass over [x_self || mean || dir].
         return {3 * dim_};
     }
+
+    /** The concatenated [x_self || mean || dir] row. */
+    std::size_t scratch_dim() const override { return 3 * dim_; }
 
     std::size_t transform_macs() const override { return mix_.macs(); }
 

@@ -8,11 +8,12 @@ EncoderLayer::EncoderLayer(std::size_t in_dim, std::size_t out_dim, Rng &rng)
     linear_.init_glorot(rng);
 }
 
-Vec
-EncoderLayer::transform(const Vec &x_self, const Vec &, NodeId,
-                        const LayerContext &) const
+void
+EncoderLayer::transform_into(const float *x_self, const float *, NodeId,
+                             const LayerContext &, float *out,
+                             float *) const
 {
-    return linear_.forward(x_self);
+    linear_.forward_into(x_self, out);
 }
 
 } // namespace flowgnn

@@ -21,93 +21,85 @@ GatLayer::GatLayer(std::size_t in_dim, std::size_t num_heads,
     }
 }
 
-Vec
-GatLayer::src_scores(const Vec &h) const
+void
+GatLayer::node_scores(const float *h, float *scores) const
 {
-    Vec out(heads_, 0.0f);
     for (std::size_t hd = 0; hd < heads_; ++hd) {
-        float acc = 0.0f;
-        for (std::size_t d = 0; d < head_dim_; ++d)
-            acc += att_src_(hd, d) * h[hd * head_dim_ + d];
-        out[hd] = acc;
+        const float *head = h + hd * head_dim_;
+        float src = 0.0f;
+        float dst = 0.0f;
+        for (std::size_t d = 0; d < head_dim_; ++d) {
+            src += att_src_(hd, d) * head[d];
+            dst += att_dst_(hd, d) * head[d];
+        }
+        scores[hd] = src;
+        scores[heads_ + hd] = dst;
     }
-    return out;
 }
 
-Vec
-GatLayer::dst_scores(const Vec &h) const
+void
+GatLayer::transform_into(const float *x_self, const float *, NodeId,
+                         const LayerContext &, float *out,
+                         float *scratch) const
 {
-    Vec out(heads_, 0.0f);
-    for (std::size_t hd = 0; hd < heads_; ++hd) {
-        float acc = 0.0f;
-        for (std::size_t d = 0; d < head_dim_; ++d)
-            acc += att_dst_(hd, d) * h[hd * head_dim_ + d];
-        out[hd] = acc;
-    }
-    return out;
+    float *h = scratch;
+    float *scores = h + out_dim();
+    project_into(x_self, h);
+    node_scores(h, scores);
+    gat_combine(*this, h, scores, 0, nullptr, 0, out,
+                scores + score_dim());
 }
 
-Vec
-GatLayer::edge_scores(const Vec &h_src, const Vec &h_dst) const
-{
-    Vec s = src_scores(h_src);
-    Vec d = dst_scores(h_dst);
-    Vec out(heads_);
-    for (std::size_t h = 0; h < heads_; ++h)
-        out[h] = activate(s[h] + d[h], Activation::kLeakyRelu);
-    return out;
-}
-
-Vec
-GatLayer::transform(const Vec &x_self, const Vec &, NodeId,
-                    const LayerContext &) const
-{
-    Vec h = project(x_self);
-    return gat_combine(*this, h, {});
-}
-
-Vec
-gat_combine(const GatLayer &layer, const Vec &h_dst,
-            const std::vector<const Vec *> &h_srcs)
+void
+gat_combine(const GatLayer &layer, const float *h, const float *scores,
+            NodeId dst, const NodeId *srcs, std::size_t n_srcs, float *out,
+            float *scratch)
 {
     const std::size_t heads = layer.num_heads();
     const std::size_t hd = layer.head_dim();
+    const std::size_t width = heads * hd;
+    const float *h_dst = h + std::size_t(dst) * width;
+    const float *s_dst = scores + std::size_t(dst) * layer.score_dim();
+    auto src_scores = [&](NodeId j) {
+        return scores + std::size_t(j) * layer.score_dim();
+    };
 
     // Pass 1: per-head running max over {self} u in-neighbors.
-    Vec self_score = layer.edge_scores(h_dst, h_dst);
-    Vec max_score = self_score;
-    std::vector<Vec> scores;
-    scores.reserve(h_srcs.size());
-    for (const Vec *h_src : h_srcs) {
-        scores.push_back(layer.edge_scores(*h_src, h_dst));
-        for (std::size_t h = 0; h < heads; ++h)
-            max_score[h] = std::max(max_score[h], scores.back()[h]);
+    float *max_score = scratch;
+    float *denom = scratch + heads;
+    for (std::size_t k = 0; k < heads; ++k)
+        max_score[k] = layer.edge_score(s_dst, s_dst, k);
+    for (std::size_t j = 0; j < n_srcs; ++j) {
+        const float *s_src = src_scores(srcs[j]);
+        for (std::size_t k = 0; k < heads; ++k)
+            max_score[k] =
+                std::max(max_score[k], layer.edge_score(s_src, s_dst, k));
     }
 
-    // Pass 2: exp-weighted sum in arrival order, self term first.
-    Vec acc(heads * hd, 0.0f);
-    Vec denom(heads, 0.0f);
-    for (std::size_t h = 0; h < heads; ++h) {
-        float w = std::exp(self_score[h] - max_score[h]);
-        denom[h] = w;
+    // Pass 2: exp-weighted sum in arrival order, self term first,
+    // accumulated in place in `out`.
+    for (std::size_t k = 0; k < heads; ++k) {
+        float w = std::exp(layer.edge_score(s_dst, s_dst, k) - max_score[k]);
+        denom[k] = w;
         for (std::size_t d = 0; d < hd; ++d)
-            acc[h * hd + d] = w * h_dst[h * hd + d];
+            out[k * hd + d] = w * h_dst[k * hd + d];
     }
-    for (std::size_t j = 0; j < h_srcs.size(); ++j) {
-        for (std::size_t h = 0; h < heads; ++h) {
-            float w = std::exp(scores[j][h] - max_score[h]);
-            denom[h] += w;
+    for (std::size_t j = 0; j < n_srcs; ++j) {
+        const float *s_src = src_scores(srcs[j]);
+        const float *h_src = h + std::size_t(srcs[j]) * width;
+        for (std::size_t k = 0; k < heads; ++k) {
+            float w =
+                std::exp(layer.edge_score(s_src, s_dst, k) - max_score[k]);
+            denom[k] += w;
             for (std::size_t d = 0; d < hd; ++d)
-                acc[h * hd + d] += w * (*h_srcs[j])[h * hd + d];
+                out[k * hd + d] += w * h_src[k * hd + d];
         }
     }
 
-    Vec out(heads * hd);
-    for (std::size_t h = 0; h < heads; ++h)
+    for (std::size_t k = 0; k < heads; ++k)
         for (std::size_t d = 0; d < hd; ++d)
-            out[h * hd + d] = acc[h * hd + d] / denom[h];
-    apply_activation(out, layer.activation());
-    return out;
+            out[k * hd + d] = out[k * hd + d] / denom[k];
+    apply_activation(out, width, layer.activation());
 }
 
 } // namespace flowgnn

@@ -40,17 +40,34 @@ class GatLayer : public Layer
     std::size_t num_heads() const { return heads_; }
     std::size_t head_dim() const { return head_dim_; }
 
-    /** Projection h = W x (all heads concatenated). */
-    Vec project(const Vec &x) const { return proj_.forward(x); }
+    /** Projection h = W x (all heads concatenated), out_dim() floats. */
+    void project_into(const float *x, float *h) const
+    {
+        proj_.forward_into(x, h);
+    }
 
-    /** a_src . h_j per head: the source half of the attention logit. */
-    Vec src_scores(const Vec &h) const;
+    /** Floats per node written by node_scores(). */
+    std::size_t score_dim() const { return 2 * heads_; }
 
-    /** a_dst . h_i per head: the destination half of the logit. */
-    Vec dst_scores(const Vec &h) const;
+    /**
+     * The per-node halves of the attention logit, from a projection h:
+     * scores[k] = a_src . h (head k, as a source) and
+     * scores[heads + k] = a_dst . h (head k, as a destination). Every
+     * edge logit combines one source row and one destination row
+     * (edge_score), so executors compute these once per node instead
+     * of once per edge.
+     */
+    void node_scores(const float *h, float *scores) const;
 
-    /** Full attention logit per head: LeakyReLU(src + dst). */
-    Vec edge_scores(const Vec &h_src, const Vec &h_dst) const;
+    /** Attention logit of edge j->i for one head:
+     * LeakyReLU(src half of j + dst half of i). */
+    float
+    edge_score(const float *src_scores, const float *dst_scores,
+               std::size_t head) const
+    {
+        return activate(src_scores[head] + dst_scores[heads_ + head],
+                        Activation::kLeakyRelu);
+    }
 
     /** Output activation (ELU except on the last layer). */
     Activation activation() const { return act_; }
@@ -60,8 +77,15 @@ class GatLayer : public Layer
      * the executor/engine. Kept to satisfy the interface; computes the
      * full layer for a degenerate single-node neighborhood.
      */
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform_into(const float *x_self, const float *agg,
+                        NodeId node, const LayerContext &ctx, float *out,
+                        float *scratch) const override;
+
+    /** Projection, score row, and gat_combine's scratch. */
+    std::size_t scratch_dim() const override
+    {
+        return out_dim() + 2 * score_dim();
+    }
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
@@ -92,17 +116,21 @@ class GatLayer : public Layer
 };
 
 /**
- * Runs the full two-pass attention for one destination node given its
- * in-neighbor projections. Shared by the reference executor and the
- * dataflow engine so arithmetic is identical.
+ * Runs the full two-pass attention for destination node `dst`. Shared
+ * by the reference executor and the dataflow engine so arithmetic is
+ * identical; allocates nothing.
  *
- * @param layer     the GAT layer
- * @param h_dst     destination node's projection
- * @param h_srcs    in-neighbor projections in arrival order
- * @return the activated output embedding
+ * @param layer   the GAT layer
+ * @param h       per-node projections, out_dim() floats per node
+ * @param scores  per-node node_scores(), score_dim() floats per node
+ * @param dst     the destination node (row index into h and scores)
+ * @param srcs    dst's in-neighbors in arrival order (n_srcs entries)
+ * @param out     the activated output embedding, out_dim() floats
+ * @param scratch score_dim() floats
  */
-Vec gat_combine(const GatLayer &layer, const Vec &h_dst,
-                const std::vector<const Vec *> &h_srcs);
+void gat_combine(const GatLayer &layer, const float *h, const float *scores,
+                 NodeId dst, const NodeId *srcs, std::size_t n_srcs,
+                 float *out, float *scratch);
 
 } // namespace flowgnn
 

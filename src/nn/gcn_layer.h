@@ -34,17 +34,21 @@ class GcnLayer : public Layer
         return AggregatorKind::kSum;
     }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message_into(const float *x_src, const float *edge_feat,
+                      NodeId src, NodeId dst, const LayerContext &ctx,
+                      float *msg) const override;
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform_into(const float *x_self, const float *agg,
+                        NodeId node, const LayerContext &ctx, float *out,
+                        float *scratch) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
         return {linear_.in_dim()};
     }
+
+    /** The combined (self-loop + aggregate) input row. */
+    std::size_t scratch_dim() const override { return linear_.in_dim(); }
 
     std::size_t transform_macs() const override { return linear_.macs(); }
 

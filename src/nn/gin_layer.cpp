@@ -1,7 +1,5 @@
 #include "nn/gin_layer.h"
 
-#include "tensor/ops.h"
-
 namespace flowgnn {
 
 GinLayer::GinLayer(std::size_t dim, std::size_t edge_dim, Activation act,
@@ -17,29 +15,26 @@ GinLayer::GinLayer(std::size_t dim, std::size_t edge_dim, Activation act,
     mlp_.init_glorot(rng);
 }
 
-Vec
-GinLayer::message(const Vec &x_src, const float *edge_feat,
-                  std::size_t edge_dim, NodeId, NodeId,
-                  const LayerContext &) const
+void
+GinLayer::message_into(const float *x_src, const float *edge_feat, NodeId,
+                       NodeId, const LayerContext &, float *msg) const
 {
-    Vec msg = x_src;
-    if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        Vec e(edge_feat, edge_feat + edge_dim);
-        add_inplace(msg, edge_enc_.forward(e));
-    }
-    apply_activation(msg, Activation::kRelu);
-    return msg;
+    encode_edge_message(edge_enc_, x_src, edge_feat, dim_, msg);
+    apply_activation(msg, dim_, Activation::kRelu);
 }
 
-Vec
-GinLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                    const LayerContext &) const
+void
+GinLayer::transform_into(const float *x_self, const float *agg, NodeId,
+                         const LayerContext &, float *out,
+                         float *scratch) const
 {
-    Vec combined = agg;
-    axpy_inplace(combined, 1.0f + eps_, x_self);
-    Vec out = mlp_.forward(combined);
-    apply_activation(out, act_);
-    return out;
+    float *combined = scratch;
+    const float self_w = 1.0f + eps_;
+    for (std::size_t i = 0; i < dim_; ++i)
+        combined[i] = agg[i] + self_w * x_self[i];
+    float *ping = combined + dim_;
+    mlp_.forward_into(combined, out, ping, ping + mlp_.max_hidden_dim());
+    apply_activation(out, dim_, act_);
 }
 
 } // namespace flowgnn

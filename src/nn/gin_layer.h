@@ -31,19 +31,26 @@ class GinLayer : public Layer
     std::size_t in_dim() const override { return dim_; }
     std::size_t out_dim() const override { return dim_; }
     std::size_t msg_dim() const override { return dim_; }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message_into(const float *x_src, const float *edge_feat,
+                      NodeId src, NodeId dst, const LayerContext &ctx,
+                      float *msg) const override;
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform_into(const float *x_self, const float *agg,
+                        NodeId node, const LayerContext &ctx, float *out,
+                        float *scratch) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
         // MLP: dim -> 2*dim -> dim, two input-stationary passes.
         return {dim_, 2 * dim_};
+    }
+
+    /** The combined input row plus the MLP's ping-pong buffers. */
+    std::size_t scratch_dim() const override
+    {
+        return dim_ + 2 * mlp_.max_hidden_dim();
     }
 
     std::size_t transform_macs() const override { return mlp_.macs(); }

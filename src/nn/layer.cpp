@@ -1,5 +1,6 @@
 #include "nn/layer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -43,9 +44,22 @@ make_layer_context(const SampleRef &sample, const PnaParams &pna,
     return ctx;
 }
 
-Vec
-Layer::message(const Vec &, const float *, std::size_t, NodeId, NodeId,
-               const LayerContext &) const
+void
+encode_edge_message(const Linear &enc, const float *x_src,
+                    const float *edge_feat, std::size_t dim, float *m)
+{
+    if (enc.in_dim() == 0) {
+        std::copy(x_src, x_src + dim, m);
+        return;
+    }
+    enc.forward_into(edge_feat, m);
+    for (std::size_t i = 0; i < dim; ++i)
+        m[i] = x_src[i] + m[i];
+}
+
+void
+Layer::message_into(const float *, const float *, NodeId, NodeId,
+                    const LayerContext &, float *) const
 {
     throw std::logic_error(std::string(name()) +
                            ": layer has no message function");

@@ -7,9 +7,11 @@
  *
  *   x_i^{l+1} = gamma(x_i^l, A_{j in N(i)}(phi(x_i^l, x_j^l, e_ij^l)))
  *
- * as `message` (phi), an AggregatorKind (A), and `transform` (gamma),
- * plus the timing metadata the dataflow engine needs (widths of the
- * input-stationary fully-connected passes performed by the NT unit).
+ * as `message_into` (phi), an AggregatorKind (A), and `transform_into`
+ * (gamma), plus the timing metadata the dataflow engine needs (widths
+ * of the input-stationary fully-connected passes performed by the NT
+ * unit). phi and gamma write into caller-owned buffers, so executors
+ * run them without a heap allocation per edge or per node.
  *
  * Adapting FlowGNN to a new GNN means writing one subclass — exactly
  * the "few highlighted lines" of Listing 1 in the paper.
@@ -22,6 +24,7 @@
 
 #include "graph/sample.h"
 #include "nn/aggregator.h"
+#include "tensor/linear.h"
 
 namespace flowgnn {
 
@@ -67,6 +70,14 @@ LayerContext make_layer_context(const SampleRef &sample,
                                 unsigned threads = 0);
 
 /**
+ * The pre-activation message shared by GIN, PNA and DGN:
+ * m = x_src + EdgeEnc(e), or m = x_src when `enc` is empty (the layer
+ * has no edge encoder). Writes enc.out_dim() == dim floats to `m`.
+ */
+void encode_edge_message(const Linear &enc, const float *x_src,
+                         const float *edge_feat, std::size_t dim, float *m);
+
+/**
  * Base class of all FlowGNN layer kernels.
  */
 class Layer
@@ -104,27 +115,42 @@ class Layer
         return Aggregator(aggregator_kind(), msg_dim());
     }
 
+    /**
+     * Raw edge-feature count phi reads (0: phi ignores edge features).
+     * A sample run through the layer must carry exactly this many;
+     * Model::check_sample rejects any other count.
+     */
+    virtual std::size_t edge_dim() const { return 0; }
+
     /** Whether phi reads edge features. */
-    virtual bool uses_edge_features() const { return false; }
+    bool uses_edge_features() const { return edge_dim() > 0; }
 
     /**
-     * phi: the message along edge src->dst given the source node's
-     * embedding at this layer's input.
+     * phi: writes the message along edge src->dst, msg_dim() floats, to
+     * `msg`, given the source node's embedding at this layer's input.
+     * Allocates nothing.
      *
      * @param x_src     source embedding (in_dim floats)
-     * @param edge_feat pointer to the edge feature row (may be null)
-     * @param edge_dim  number of edge features
+     * @param edge_feat the edge's feature row, edge_dim() floats (null
+     *                  when edge_dim() == 0)
+     * @param msg       destination; must not alias x_src
      */
-    virtual Vec
-    message(const Vec &x_src, const float *edge_feat, std::size_t edge_dim,
-            NodeId src, NodeId dst, const LayerContext &ctx) const;
+    virtual void message_into(const float *x_src, const float *edge_feat,
+                              NodeId src, NodeId dst,
+                              const LayerContext &ctx, float *msg) const;
 
     /**
-     * gamma: the new embedding from the node's own embedding and the
-     * finalized aggregate (empty when msg_dim() == 0).
+     * gamma: writes the new embedding, out_dim() floats, to `out` from
+     * the node's own embedding and the finalized aggregate (null when
+     * msg_dim() == 0). `scratch` holds scratch_dim() floats the layer
+     * may overwrite; `out` must not alias the inputs or the scratch.
      */
-    virtual Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                          const LayerContext &ctx) const = 0;
+    virtual void transform_into(const float *x_self, const float *agg,
+                                NodeId node, const LayerContext &ctx,
+                                float *out, float *scratch) const = 0;
+
+    /** Floats of scratch transform_into needs. */
+    virtual std::size_t scratch_dim() const { return 0; }
 
     /**
      * Timing metadata: input widths of the sequential input-stationary

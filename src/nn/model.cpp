@@ -1,5 +1,6 @@
 #include "nn/model.h"
 
+#include <memory>
 #include <stdexcept>
 
 #include "graph/spectral.h"
@@ -78,40 +79,62 @@ Model::prepare(const GraphSample &sample) const
     return prepared;
 }
 
+void
+Model::check_sample(std::size_t node_dim, std::size_t edge_dim) const
+{
+    if (stages_.front()->in_dim() != node_dim)
+        throw std::invalid_argument(
+            "Model " + name_ + ": node feature dim mismatch (sample has " +
+            std::to_string(node_dim) + ", model expects " +
+            std::to_string(stages_.front()->in_dim()) + ")");
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+        const Layer &stage = *stages_[i];
+        if (stage.uses_edge_features() && stage.edge_dim() != edge_dim)
+            throw std::invalid_argument(
+                "Model " + name_ + ": stage " + std::to_string(i) + " (" +
+                stage.name() + ") expects edge_dim " +
+                std::to_string(stage.edge_dim()) +
+                " but the sample has edge_dim " + std::to_string(edge_dim));
+    }
+}
+
 Matrix
 Model::reference_embeddings(const GraphSample &prepared) const
 {
     if (!prepared.consistent())
         throw std::invalid_argument("Model: inconsistent sample");
-    if (stages_.front()->in_dim() != prepared.node_dim())
-        throw std::invalid_argument("Model: node feature dim mismatch");
+    check_sample(prepared.node_dim(), prepared.edge_dim());
 
     const NodeId n = prepared.num_nodes();
     LayerContext ctx = make_layer_context(prepared, pna_);
     CsrGraph csr(prepared.graph);
-
-    std::vector<Vec> x(n);
-    for (NodeId i = 0; i < n; ++i)
-        x[i] = prepared.node_features.row_vec(i);
+    std::unique_ptr<CscGraph> csc; // built by the first GAT stage
 
     const float *efeat_base = prepared.edge_features.data();
     const std::size_t edge_dim = prepared.edge_dim();
 
+    // One row per node; every stage reads x and writes next, and the
+    // kernels write into these rows and the scratch buffers below.
+    Matrix x = prepared.node_features;
+    Matrix next;
+    Vec scratch, msg, fin, states;
     for (const auto &stage : stages_) {
-        std::vector<Vec> next(n);
+        next.resize(n, stage->out_dim());
+        scratch.resize(stage->scratch_dim());
         if (stage->msg_dim() == 0) {
             // Encoder-style stage: pure per-node transform.
-            Vec empty;
             for (NodeId i = 0; i < n; ++i)
-                next[i] = stage->transform(x[i], empty, i, ctx);
+                stage->transform_into(x.row(i), nullptr, i, ctx,
+                                      next.row(i), scratch.data());
         } else if (stage->dataflow() == DataflowKind::kNtToMp) {
             // Merged scatter/gather in src-major order — the same
             // order a single-NT-unit engine produces.
             Aggregator agg = stage->aggregator();
             const std::size_t sd = agg.state_dim();
-            std::vector<float> states(static_cast<std::size_t>(n) * sd);
+            states.resize(std::size_t(n) * sd);
             for (NodeId i = 0; i < n; ++i)
-                agg.init(states.data() + i * sd);
+                agg.init(states.data() + std::size_t(i) * sd);
+            msg.resize(stage->msg_dim());
             for (NodeId src = 0; src < n; ++src) {
                 for (std::size_t s = csr.row_begin(src);
                      s < csr.row_end(src); ++s) {
@@ -120,15 +143,18 @@ Model::reference_embeddings(const GraphSample &prepared) const
                     const float *ef = edge_dim
                         ? efeat_base + std::size_t(eid) * edge_dim
                         : nullptr;
-                    Vec msg = stage->message(x[src], ef, edge_dim, src,
-                                             dst, ctx);
-                    agg.accumulate(states.data() + dst * sd, msg.data());
+                    stage->message_into(x.row(src), ef, src, dst, ctx,
+                                        msg.data());
+                    agg.accumulate(states.data() + std::size_t(dst) * sd,
+                                   msg.data());
                 }
             }
+            fin.resize(agg.out_dim());
             for (NodeId i = 0; i < n; ++i) {
-                Vec fin = agg.finalize(states.data() + i * sd,
-                                       ctx.in_deg[i], ctx.pna);
-                next[i] = stage->transform(x[i], fin, i, ctx);
+                agg.finalize_into(states.data() + std::size_t(i) * sd,
+                                  ctx.in_deg[i], ctx.pna, fin.data());
+                stage->transform_into(x.row(i), fin.data(), i, ctx,
+                                      next.row(i), scratch.data());
             }
         } else {
             // Gather-first attention path (GAT).
@@ -136,26 +162,22 @@ Model::reference_embeddings(const GraphSample &prepared) const
             if (gat == nullptr)
                 throw std::logic_error(
                     "Model: MP-to-NT stage is not a GAT layer");
-            std::vector<Vec> h(n);
-            for (NodeId i = 0; i < n; ++i)
-                h[i] = gat->project(x[i]);
-            CscGraph csc(prepared.graph);
+            Matrix h(n, gat->out_dim());
+            Matrix scores(n, gat->score_dim());
             for (NodeId i = 0; i < n; ++i) {
-                std::vector<const Vec *> nbrs;
-                nbrs.reserve(csc.in_degree(i));
-                for (std::size_t s = csc.col_begin(i); s < csc.col_end(i);
-                     ++s)
-                    nbrs.push_back(&h[csc.src(s)]);
-                next[i] = gat_combine(*gat, h[i], nbrs);
+                gat->project_into(x.row(i), h.row(i));
+                gat->node_scores(h.row(i), scores.row(i));
             }
+            if (!csc)
+                csc = std::make_unique<CscGraph>(prepared.graph);
+            for (NodeId i = 0; i < n; ++i)
+                gat_combine(*gat, h.data(), scores.data(), i,
+                            csc->srcs(i), csc->in_degree(i), next.row(i),
+                            scratch.data());
         }
-        x = std::move(next);
+        std::swap(x, next);
     }
-
-    Matrix out(n, embedding_dim());
-    for (NodeId i = 0; i < n; ++i)
-        out.set_row(i, x[i]);
-    return out;
+    return x;
 }
 
 Vec

@@ -90,6 +90,15 @@ class Model
     GraphSample prepare(const GraphSample &sample) const;
 
     /**
+     * Rejects a sample whose feature widths the model cannot consume:
+     * node_dim must equal the first stage's input dim, and edge_dim
+     * must equal every edge-feature-reading stage's edge_dim(). Throws
+     * std::invalid_argument naming both dims. The executors call this
+     * on entry; their span kernels trust the widths afterwards.
+     */
+    void check_sample(std::size_t node_dim, std::size_t edge_dim) const;
+
+    /**
      * Reference executor: runs all stages in software (src-major
      * scatter order) and returns the final node embeddings
      * [num_nodes x embedding_dim]. Expects a prepared sample.

@@ -1,6 +1,6 @@
 #include "nn/pna_layer.h"
 
-#include "tensor/ops.h"
+#include <algorithm>
 
 namespace flowgnn {
 
@@ -15,31 +15,24 @@ PnaLayer::PnaLayer(std::size_t dim, std::size_t edge_dim, Activation act,
     mix_.init_glorot(rng);
 }
 
-Vec
-PnaLayer::message(const Vec &x_src, const float *edge_feat,
-                  std::size_t edge_dim, NodeId, NodeId,
-                  const LayerContext &) const
+void
+PnaLayer::message_into(const float *x_src, const float *edge_feat, NodeId,
+                       NodeId, const LayerContext &, float *msg) const
 {
-    Vec msg = x_src;
-    if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        Vec e(edge_feat, edge_feat + edge_dim);
-        add_inplace(msg, edge_enc_.forward(e));
-    }
-    apply_activation(msg, Activation::kRelu);
-    return msg;
+    encode_edge_message(edge_enc_, x_src, edge_feat, dim_, msg);
+    apply_activation(msg, dim_, Activation::kRelu);
 }
 
-Vec
-PnaLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                    const LayerContext &) const
+void
+PnaLayer::transform_into(const float *x_self, const float *agg, NodeId,
+                         const LayerContext &, float *out,
+                         float *scratch) const
 {
-    Vec combined;
-    combined.reserve(13 * dim_);
-    combined.insert(combined.end(), x_self.begin(), x_self.end());
-    combined.insert(combined.end(), agg.begin(), agg.end());
-    Vec out = mix_.forward(combined);
-    apply_activation(out, act_);
-    return out;
+    // [x_self || 12 aggregates], one input-stationary pass.
+    std::copy(x_self, x_self + dim_, scratch);
+    std::copy(agg, agg + 12 * dim_, scratch + dim_);
+    mix_.forward_into(scratch, out);
+    apply_activation(out, dim_, act_);
 }
 
 } // namespace flowgnn

@@ -33,20 +33,24 @@ class PnaLayer : public Layer
     {
         return AggregatorKind::kPna;
     }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message_into(const float *x_src, const float *edge_feat,
+                      NodeId src, NodeId dst, const LayerContext &ctx,
+                      float *msg) const override;
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform_into(const float *x_self, const float *agg,
+                        NodeId node, const LayerContext &ctx, float *out,
+                        float *scratch) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
         // One input-stationary pass over [x_self || 12 aggregates].
         return {13 * dim_};
     }
+
+    /** The concatenated [x_self || aggregates] row. */
+    std::size_t scratch_dim() const override { return 13 * dim_; }
 
     std::size_t transform_macs() const override { return mix_.macs(); }
 

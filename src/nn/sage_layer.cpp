@@ -1,6 +1,6 @@
 #include "nn/sage_layer.h"
 
-#include "tensor/ops.h"
+#include <algorithm>
 
 namespace flowgnn {
 
@@ -12,22 +12,24 @@ SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim,
     nbr_.init_glorot(rng);
 }
 
-Vec
-SageLayer::message(const Vec &x_src, const float *, std::size_t, NodeId,
-                   NodeId, const LayerContext &) const
+void
+SageLayer::message_into(const float *x_src, const float *, NodeId, NodeId,
+                        const LayerContext &, float *msg) const
 {
     // Raw neighbor embedding; the mean is taken by the aggregator.
-    return x_src;
+    std::copy(x_src, x_src + self_.in_dim(), msg);
 }
 
-Vec
-SageLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                     const LayerContext &) const
+void
+SageLayer::transform_into(const float *x_self, const float *agg, NodeId,
+                          const LayerContext &, float *out,
+                          float *scratch) const
 {
-    Vec out = self_.forward(x_self);
-    add_inplace(out, nbr_.forward(agg));
-    apply_activation(out, act_);
-    return out;
+    self_.forward_into(x_self, out);
+    nbr_.forward_into(agg, scratch);
+    for (std::size_t i = 0; i < self_.out_dim(); ++i)
+        out[i] = out[i] + scratch[i];
+    apply_activation(out, self_.out_dim(), act_);
 }
 
 } // namespace flowgnn

@@ -32,18 +32,22 @@ class SageLayer : public Layer
         return AggregatorKind::kMean;
     }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message_into(const float *x_src, const float *edge_feat,
+                      NodeId src, NodeId dst, const LayerContext &ctx,
+                      float *msg) const override;
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform_into(const float *x_self, const float *agg,
+                        NodeId node, const LayerContext &ctx, float *out,
+                        float *scratch) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
         // Two input-stationary passes: W_self over x, W_nbr over mean.
         return {self_.in_dim(), nbr_.in_dim()};
     }
+
+    /** The neighbour half W_nbr * mean before it joins the output. */
+    std::size_t scratch_dim() const override { return nbr_.out_dim(); }
 
     std::size_t transform_macs() const override
     {

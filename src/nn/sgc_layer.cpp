@@ -2,27 +2,29 @@
 
 #include <cmath>
 
-#include "tensor/ops.h"
-
 namespace flowgnn {
 
-Vec
-SgcLayer::message(const Vec &x_src, const float *, std::size_t, NodeId src,
-                  NodeId dst, const LayerContext &ctx) const
+void
+SgcLayer::message_into(const float *x_src, const float *, NodeId src,
+                       NodeId dst, const LayerContext &ctx,
+                       float *msg) const
 {
     float d_src = static_cast<float>(ctx.out_deg[src]) + 1.0f;
     float d_dst = static_cast<float>(ctx.in_deg[dst]) + 1.0f;
-    return scale(x_src, 1.0f / std::sqrt(d_src * d_dst));
+    float norm = 1.0f / std::sqrt(d_src * d_dst);
+    for (std::size_t i = 0; i < dim_; ++i)
+        msg[i] = x_src[i] * norm;
 }
 
-Vec
-SgcLayer::transform(const Vec &x_self, const Vec &agg, NodeId node,
-                    const LayerContext &ctx) const
+void
+SgcLayer::transform_into(const float *x_self, const float *agg,
+                         NodeId node, const LayerContext &ctx, float *out,
+                         float *) const
 {
     float d_hat = static_cast<float>(ctx.in_deg[node]) + 1.0f;
-    Vec out = agg;
-    axpy_inplace(out, 1.0f / d_hat, x_self);
-    return out;
+    float self_w = 1.0f / d_hat;
+    for (std::size_t i = 0; i < dim_; ++i)
+        out[i] = agg[i] + self_w * x_self[i];
 }
 
 } // namespace flowgnn

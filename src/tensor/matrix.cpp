@@ -10,6 +10,14 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
 {
 }
 
+void
+Matrix::resize(std::size_t rows, std::size_t cols)
+{
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+}
+
 Vec
 Matrix::row_vec(std::size_t r) const
 {

@@ -13,6 +13,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace flowgnn {
@@ -33,6 +34,36 @@ class Matrix
 
     /** Creates a rows x cols matrix initialized to the given value. */
     Matrix(std::size_t rows, std::size_t cols, float fill = 0.0f);
+
+    Matrix(const Matrix &) = default;
+    Matrix &operator=(const Matrix &) = default;
+    /** A moved-from matrix is empty (0 x 0), never a shape without
+     * storage. */
+    Matrix(Matrix &&other) noexcept
+        : rows_(std::exchange(other.rows_, 0)),
+          cols_(std::exchange(other.cols_, 0)),
+          data_(std::move(other.data_))
+    {
+        other.data_.clear();
+    }
+
+    Matrix &
+    operator=(Matrix &&other) noexcept
+    {
+        rows_ = std::exchange(other.rows_, 0);
+        cols_ = std::exchange(other.cols_, 0);
+        data_ = std::move(other.data_);
+        other.data_.clear();
+        return *this;
+    }
+
+    /**
+     * Reshapes to rows x cols. Element values are unspecified
+     * afterwards; capacity is kept, so a workspace matrix reshaped per
+     * graph or per layer stops allocating once it has seen its largest
+     * shape.
+     */
+    void resize(std::size_t rows, std::size_t cols);
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }

@@ -1,5 +1,6 @@
 #include "tensor/mlp.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace flowgnn {
@@ -25,13 +26,36 @@ Mlp::init_glorot(Rng &rng)
 Vec
 Mlp::forward(const Vec &x) const
 {
-    Vec h = x;
+    if (x.size() != in_dim())
+        throw std::invalid_argument("Mlp: input dimension mismatch");
+    Vec out(out_dim());
+    Vec ping(max_hidden_dim()), pong(max_hidden_dim());
+    forward_into(x.data(), out.data(), ping.data(), pong.data());
+    return out;
+}
+
+void
+Mlp::forward_into(const float *x, float *out, float *ping,
+                  float *pong) const
+{
+    const float *h = x;
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-        h = layers_[i].forward(h);
-        bool is_last = (i + 1 == layers_.size());
-        apply_activation(h, is_last ? final_activation_ : hidden_activation_);
+        const bool is_last = (i + 1 == layers_.size());
+        float *y = is_last ? out : (i % 2 == 0 ? ping : pong);
+        layers_[i].forward_into(h, y);
+        apply_activation(y, layers_[i].out_dim(),
+                         is_last ? final_activation_ : hidden_activation_);
+        h = y;
     }
-    return h;
+}
+
+std::size_t
+Mlp::max_hidden_dim() const
+{
+    std::size_t widest = 0;
+    for (std::size_t i = 0; i + 1 < layers_.size(); ++i)
+        widest = std::max(widest, layers_[i].out_dim());
+    return widest;
 }
 
 std::size_t

@@ -35,6 +35,18 @@ class Mlp
 
     Vec forward(const Vec &x) const;
 
+    /**
+     * Span forward: out[0, out_dim) = MLP(x). Hidden activations
+     * ping-pong between the caller's two scratch buffers, each holding
+     * at least max_hidden_dim() floats, so the pass allocates nothing.
+     * out must not alias x or the scratch buffers.
+     */
+    void forward_into(const float *x, float *out, float *ping,
+                      float *pong) const;
+
+    /** Widest hidden activation (0 for a single-layer MLP). */
+    std::size_t max_hidden_dim() const;
+
     std::size_t in_dim() const;
     std::size_t out_dim() const;
     std::size_t num_layers() const { return layers_.size(); }

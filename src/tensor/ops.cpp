@@ -6,124 +6,11 @@
 
 namespace flowgnn {
 
-namespace {
-
-void
-check_same_size(const Vec &x, const Vec &y, const char *what)
-{
-    if (x.size() != y.size())
-        throw std::invalid_argument(std::string(what) + ": size mismatch");
-}
-
-} // namespace
-
-void
-add_inplace(Vec &y, const Vec &x)
-{
-    check_same_size(y, x, "add_inplace");
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] += x[i];
-}
-
-void
-axpy_inplace(Vec &y, float a, const Vec &x)
-{
-    check_same_size(y, x, "axpy_inplace");
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] += a * x[i];
-}
-
-Vec
-add(const Vec &x, const Vec &y)
-{
-    Vec out = x;
-    add_inplace(out, y);
-    return out;
-}
-
-Vec
-sub(const Vec &x, const Vec &y)
-{
-    check_same_size(x, y, "sub");
-    Vec out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = x[i] - y[i];
-    return out;
-}
-
-void
-scale_inplace(Vec &y, float a)
-{
-    for (auto &v : y)
-        v *= a;
-}
-
-Vec
-scale(const Vec &x, float a)
-{
-    Vec out = x;
-    scale_inplace(out, a);
-    return out;
-}
-
-void
-max_inplace(Vec &y, const Vec &x)
-{
-    check_same_size(y, x, "max_inplace");
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] = std::max(y[i], x[i]);
-}
-
-void
-min_inplace(Vec &y, const Vec &x)
-{
-    check_same_size(y, x, "min_inplace");
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] = std::min(y[i], x[i]);
-}
-
-float
-dot(const Vec &x, const Vec &y)
-{
-    check_same_size(x, y, "dot");
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        acc += x[i] * y[i];
-    return acc;
-}
-
-float
-sum(const Vec &x)
-{
-    float acc = 0.0f;
-    for (float v : x)
-        acc += v;
-    return acc;
-}
-
-Vec
-concat(const std::vector<Vec> &parts)
-{
-    std::size_t total = 0;
-    for (const auto &p : parts)
-        total += p.size();
-    Vec out;
-    out.reserve(total);
-    for (const auto &p : parts)
-        out.insert(out.end(), p.begin(), p.end());
-    return out;
-}
-
-float
-norm2(const Vec &x)
-{
-    return std::sqrt(dot(x, x));
-}
-
 float
 max_abs_diff(const Vec &x, const Vec &y)
 {
-    check_same_size(x, y, "max_abs_diff");
+    if (x.size() != y.size())
+        throw std::invalid_argument("max_abs_diff: size mismatch");
     float m = 0.0f;
     for (std::size_t i = 0; i < x.size(); ++i)
         m = std::max(m, std::abs(x[i] - y[i]));

@@ -1,10 +1,8 @@
 /**
  * @file
- * Element-wise and reduction operations on Vec and Matrix.
- *
- * The dataflow engine and the reference library both call these
- * helpers so that floating-point operation order is identical, which
- * lets tests assert bit-exact equality between the two.
+ * Comparison helpers over Vec and Matrix, used by tests and benches to
+ * measure how far two executors' results are apart. (The layer kernels
+ * compute in place on spans; see tensor/linear.h.)
  */
 #ifndef FLOWGNN_TENSOR_OPS_H
 #define FLOWGNN_TENSOR_OPS_H
@@ -12,42 +10,6 @@
 #include "tensor/matrix.h"
 
 namespace flowgnn {
-
-/** y += x (element-wise). Sizes must match. */
-void add_inplace(Vec &y, const Vec &x);
-
-/** y += a * x (element-wise). Sizes must match. */
-void axpy_inplace(Vec &y, float a, const Vec &x);
-
-/** Returns x + y. */
-Vec add(const Vec &x, const Vec &y);
-
-/** Returns x - y. */
-Vec sub(const Vec &x, const Vec &y);
-
-/** y *= a. */
-void scale_inplace(Vec &y, float a);
-
-/** Returns a * x. */
-Vec scale(const Vec &x, float a);
-
-/** Element-wise max into y. */
-void max_inplace(Vec &y, const Vec &x);
-
-/** Element-wise min into y. */
-void min_inplace(Vec &y, const Vec &x);
-
-/** Dot product. Sizes must match. */
-float dot(const Vec &x, const Vec &y);
-
-/** Sum of elements. */
-float sum(const Vec &x);
-
-/** Concatenates vectors in order. */
-Vec concat(const std::vector<Vec> &parts);
-
-/** L2 norm. */
-float norm2(const Vec &x);
 
 /** Maximum absolute element-wise difference between two vectors. */
 float max_abs_diff(const Vec &x, const Vec &y);

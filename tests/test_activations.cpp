@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "tensor/activations.h"
 #include "tensor/ops.h"
@@ -70,7 +71,7 @@ TEST(Activations, NamesAreDistinct)
 TEST(Softmax, SumsToOne)
 {
     Vec p = softmax({1.0f, 2.0f, 3.0f});
-    EXPECT_NEAR(sum(p), 1.0f, 1e-6f);
+    EXPECT_NEAR(std::accumulate(p.begin(), p.end(), 0.0f), 1.0f, 1e-6f);
     EXPECT_GT(p[2], p[1]);
     EXPECT_GT(p[1], p[0]);
 }

@@ -18,7 +18,9 @@ run_agg(const Aggregator &agg, const std::vector<Vec> &msgs,
     agg.init(state.data());
     for (const auto &m : msgs)
         agg.accumulate(state.data(), m.data());
-    return agg.finalize(state.data(), degree, params);
+    Vec out(agg.out_dim());
+    agg.finalize_into(state.data(), degree, params, out.data());
+    return out;
 }
 
 TEST(Aggregator, StateDims)

@@ -11,9 +11,51 @@
 #include "nn/gin_layer.h"
 #include "nn/pna_layer.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
+
+using testing::make_identity;
+using testing::message;
+using testing::transform;
+
+Vec
+project(const GatLayer &gat, const Vec &x)
+{
+    Vec h(gat.out_dim());
+    gat.project_into(x.data(), h.data());
+    return h;
+}
+
+Vec
+scores_of(const GatLayer &gat, const Vec &h)
+{
+    Vec s(gat.score_dim());
+    gat.node_scores(h.data(), s.data());
+    return s;
+}
+
+/** gat_combine over explicit projections: h[0] is the destination,
+ * h[1..] its in-neighbors in arrival order. */
+Vec
+combine(const GatLayer &gat, const std::vector<Vec> &h)
+{
+    Matrix table(h.size(), gat.out_dim());
+    Matrix scores(h.size(), gat.score_dim());
+    std::vector<NodeId> srcs;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+        table.set_row(i, h[i]);
+        gat.node_scores(table.row(i), scores.row(i));
+        if (i > 0)
+            srcs.push_back(static_cast<NodeId>(i));
+    }
+    Vec out(gat.out_dim());
+    Vec scratch(gat.score_dim());
+    gat_combine(gat, table.data(), scores.data(), 0, srcs.data(),
+                srcs.size(), out.data(), scratch.data());
+    return out;
+}
 
 GraphSample
 tiny_sample(std::size_t node_dim = 4, std::size_t edge_dim = 2)
@@ -48,7 +90,7 @@ TEST(EncoderLayer, IsPureLinear)
     GraphSample s = tiny_sample();
     LayerContext ctx = make_layer_context(s);
     Vec x{1, 2, 3, 4};
-    EXPECT_EQ(enc.transform(x, {}, 0, ctx), enc.linear().forward(x));
+    EXPECT_EQ(transform(enc, x, {}, 0, ctx), enc.linear().forward(x));
     EXPECT_EQ(enc.nt_pass_dims(), (std::vector<std::size_t>{4}));
 }
 
@@ -60,7 +102,7 @@ TEST(GcnLayer, MessageAppliesSymmetricNorm)
     LayerContext ctx = make_layer_context(s);
     Vec x{1, 1, 1, 1};
     // Edge 0->1: out_deg[0]=2, in_deg[1]=1 -> 1/sqrt(3*2).
-    Vec m = gcn.message(x, nullptr, 0, 0, 1, ctx);
+    Vec m = message(gcn, x, nullptr, 0, 1, ctx);
     float expected = 1.0f / std::sqrt(6.0f);
     for (float v : m)
         EXPECT_NEAR(v, expected, 1e-6f);
@@ -71,16 +113,11 @@ TEST(GcnLayer, TransformAddsScaledSelfLoop)
     Rng rng(3);
     GcnLayer gcn(2, 2, Activation::kIdentity, rng);
     // Identity weights isolate the combine arithmetic.
-    gcn.message({1, 1}, nullptr, 0, 0, 1, make_layer_context(tiny_sample()));
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
-    Matrix &w = const_cast<Linear &>(gcn.linear()).weight();
-    w.fill(0.0f);
-    w(0, 0) = 1.0f;
-    w(1, 1) = 1.0f;
-    const_cast<Linear &>(gcn.linear()).bias_ref() = {0.0f, 0.0f};
+    make_identity(const_cast<Linear &>(gcn.linear()));
     // Node 0 has in_deg 1 -> self scale 1/2.
-    Vec out = gcn.transform({4, 8}, {1, 1}, 0, ctx);
+    Vec out = transform(gcn, {4, 8}, {1, 1}, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.0f + 2.0f);
     EXPECT_FLOAT_EQ(out[1], 1.0f + 4.0f);
 }
@@ -91,7 +128,7 @@ TEST(GinLayer, MessageIsReluOfSumWithEdgeEncoding)
     GinLayer gin(3, 0, Activation::kRelu, rng); // no edge features
     GraphSample s = tiny_sample(3, 0);
     LayerContext ctx = make_layer_context(s);
-    Vec m = gin.message({-1.0f, 0.0f, 2.0f}, nullptr, 0, 0, 1, ctx);
+    Vec m = message(gin, {-1.0f, 0.0f, 2.0f}, nullptr, 0, 1, ctx);
     EXPECT_EQ(m, (Vec{0.0f, 0.0f, 2.0f}));
 }
 
@@ -104,8 +141,8 @@ TEST(GinLayer, EdgeFeaturesShiftMessages)
     float ef_a[2] = {0.5f, -0.5f};
     float ef_b[2] = {-0.5f, 0.5f};
     Vec x{1.0f, 1.0f, 1.0f};
-    Vec ma = gin.message(x, ef_a, 2, 0, 1, ctx);
-    Vec mb = gin.message(x, ef_b, 2, 0, 1, ctx);
+    Vec ma = message(gin, x, ef_a, 0, 1, ctx);
+    Vec mb = message(gin, x, ef_b, 0, 1, ctx);
     EXPECT_GT(max_abs_diff(ma, mb), 0.0f)
         << "distinct edge features must yield distinct messages";
 }
@@ -117,8 +154,8 @@ TEST(GinLayer, TransformUsesEpsilonWeightedSelf)
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
     // (1+eps)*x + agg with eps=0.1.
-    Vec a = gin.transform({1, 1}, {0, 0}, 0, ctx);
-    Vec b = gin.transform({0, 0}, {1.1f, 1.1f}, 0, ctx);
+    Vec a = transform(gin, {1, 1}, {0, 0}, 0, ctx);
+    Vec b = transform(gin, {0, 0}, {1.1f, 1.1f}, 0, ctx);
     EXPECT_LT(max_abs_diff(a, b), 1e-5f);
 }
 
@@ -139,7 +176,7 @@ TEST(PnaLayer, TransformConsumesConcatenation)
     GraphSample s = tiny_sample(4, 0);
     LayerContext ctx = make_layer_context(s);
     Vec agg(48, 0.1f);
-    Vec out = pna.transform({1, 2, 3, 4}, agg, 0, ctx);
+    Vec out = transform(pna, {1, 2, 3, 4}, agg, 0, ctx);
     EXPECT_EQ(out.size(), 4u);
 }
 
@@ -151,7 +188,7 @@ TEST(DgnLayer, MessageCarriesMeanAndDirectionalParts)
     s.dgn_field = {0.0f, 2.0f, 0.0f, 0.0f};
     LayerContext ctx = make_layer_context(s);
     // Edge 0->1: w = (u0-u1)/norm[1] = -2/(2+eps) ~ -1.
-    Vec m = dgn.message({3.0f, 5.0f}, nullptr, 0, 0, 1, ctx);
+    Vec m = message(dgn, {3.0f, 5.0f}, nullptr, 0, 1, ctx);
     ASSERT_EQ(m.size(), 4u);
     EXPECT_FLOAT_EQ(m[0], 3.0f);
     EXPECT_FLOAT_EQ(m[1], 5.0f);
@@ -165,7 +202,7 @@ TEST(DgnLayer, MissingFieldThrows)
     DgnLayer dgn(2, 0, Activation::kRelu, rng);
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
-    EXPECT_THROW(dgn.message({1, 1}, nullptr, 0, 0, 1, ctx),
+    EXPECT_THROW(message(dgn, {1, 1}, nullptr, 0, 1, ctx),
                  std::invalid_argument);
 }
 
@@ -184,9 +221,8 @@ TEST(GatLayer, UniformNeighborhoodAveragesToSelf)
     // and the combine returns act(h) itself.
     Rng rng(7);
     GatLayer gat(4, 2, 3, Activation::kIdentity, rng);
-    Vec h = gat.project({0.5f, -0.5f, 1.0f, 0.0f});
-    std::vector<const Vec *> nbrs{&h, &h, &h};
-    Vec out = gat_combine(gat, h, nbrs);
+    Vec h = project(gat, {0.5f, -0.5f, 1.0f, 0.0f});
+    Vec out = combine(gat, {h, h, h, h});
     EXPECT_LT(max_abs_diff(out, h), 1e-5f);
 }
 
@@ -196,11 +232,10 @@ TEST(GatLayer, AttentionIsAWeightedAverage)
     // inputs (attention weights sum to 1 and are positive).
     Rng rng(8);
     GatLayer gat(4, 1, 4, Activation::kIdentity, rng);
-    Vec h_self = gat.project({1, 0, 0, 0});
-    Vec h_a = gat.project({0, 1, 0, 0});
-    Vec h_b = gat.project({0, 0, 1, 0});
-    std::vector<const Vec *> nbrs{&h_a, &h_b};
-    Vec out = gat_combine(gat, h_self, nbrs);
+    Vec h_self = project(gat, {1, 0, 0, 0});
+    Vec h_a = project(gat, {0, 1, 0, 0});
+    Vec h_b = project(gat, {0, 0, 1, 0});
+    Vec out = combine(gat, {h_self, h_a, h_b});
     for (std::size_t d = 0; d < 4; ++d) {
         float lo = std::min({h_self[d], h_a[d], h_b[d]});
         float hi = std::max({h_self[d], h_a[d], h_b[d]});
@@ -213,8 +248,8 @@ TEST(GatLayer, EmptyNeighborhoodReturnsActivatedSelf)
 {
     Rng rng(9);
     GatLayer gat(4, 2, 2, Activation::kElu, rng);
-    Vec h = gat.project({1, 2, 3, 4});
-    Vec out = gat_combine(gat, h, {});
+    Vec h = project(gat, {1, 2, 3, 4});
+    Vec out = combine(gat, {h});
     Vec expected = h;
     apply_activation(expected, Activation::kElu);
     EXPECT_LT(max_abs_diff(out, expected), 1e-6f);
@@ -224,13 +259,13 @@ TEST(GatLayer, ScoresUseLeakyRelu)
 {
     Rng rng(10);
     GatLayer gat(2, 1, 2, Activation::kIdentity, rng);
-    Vec h1 = gat.project({1, 0});
-    Vec h2 = gat.project({0, 1});
-    Vec s = gat.edge_scores(h1, h2);
-    Vec expected_linear = gat.src_scores(h1);
-    Vec d = gat.dst_scores(h2);
-    float raw = expected_linear[0] + d[0];
-    EXPECT_FLOAT_EQ(s[0], activate(raw, Activation::kLeakyRelu));
+    Vec s1 = scores_of(gat, project(gat, {1, 0}));
+    Vec s2 = scores_of(gat, project(gat, {0, 1}));
+    // Edge 1->2, head 0: source half of node 1 + destination half of
+    // node 2 (the row's second half, after num_heads() source scores).
+    float raw = s1[0] + s2[gat.num_heads()];
+    EXPECT_FLOAT_EQ(gat.edge_score(s1.data(), s2.data(), 0),
+                    activate(raw, Activation::kLeakyRelu));
 }
 
 TEST(Layer, BaseMessageThrowsForMessagelessLayers)
@@ -239,7 +274,7 @@ TEST(Layer, BaseMessageThrowsForMessagelessLayers)
     EncoderLayer enc(2, 2, rng);
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
-    EXPECT_THROW(enc.message({1, 1}, nullptr, 0, 0, 1, ctx),
+    EXPECT_THROW(message(enc, {1, 1}, nullptr, 0, 1, ctx),
                  std::logic_error);
 }
 

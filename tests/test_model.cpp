@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/engine.h"
 #include "datasets/dataset.h"
 #include "nn/encoder_layer.h"
+#include "nn/gcn_layer.h"
 #include "nn/model.h"
 #include "tensor/ops.h"
 
@@ -161,6 +164,85 @@ TEST(Model, FeatureDimMismatchThrows)
     Model m = make_model(ModelKind::kGcn, 9, 3);
     GraphSample s = make_sample(DatasetKind::kCora, 0); // dim 64
     EXPECT_THROW(m.reference_embeddings(s), std::invalid_argument);
+    EXPECT_THROW(Engine(m).run(s), std::invalid_argument);
+}
+
+/** The what() of the std::invalid_argument `fn` throws ("" if none). */
+template <typename Fn>
+std::string
+rejection(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Model, EdgeFeatureDimMismatchIsRejectedNotDropped)
+{
+    // GIN, PNA and DGN built for MolHIV's 3 edge features. A sample
+    // with 2 edge features (or none) used to run with the edge encoder
+    // silently skipped, returning a different answer; both executors
+    // must now refuse it and name both dims.
+    GraphSample mol = make_sample(DatasetKind::kMolHiv, 3);
+    ASSERT_EQ(mol.edge_dim(), 3u);
+    GraphSample narrow = mol;
+    narrow.edge_features = Matrix(mol.num_edges(), 2, 0.5f);
+    GraphSample bare = mol;
+    bare.edge_features = Matrix();
+    for (ModelKind kind : {ModelKind::kGin, ModelKind::kPna,
+                           ModelKind::kDgn, ModelKind::kGinVn}) {
+        Model m = make_model(kind, mol.node_dim(), 3);
+        Engine engine(m);
+        for (const GraphSample *s : {&narrow, &bare}) {
+            SCOPED_TRACE(std::string(model_name(kind)) + " edge_dim " +
+                         std::to_string(s->edge_dim()));
+            const std::string have =
+                "sample has edge_dim " + std::to_string(s->edge_dim());
+            GraphSample prepared = m.prepare(*s);
+            std::string ref =
+                rejection([&] { m.reference_embeddings(prepared); });
+            EXPECT_NE(ref.find("expects edge_dim 3"), std::string::npos)
+                << ref;
+            EXPECT_NE(ref.find(have), std::string::npos) << ref;
+            std::string eng = rejection([&] { engine.run(*s); });
+            EXPECT_NE(eng.find("expects edge_dim 3"), std::string::npos)
+                << eng;
+            EXPECT_NE(eng.find(have), std::string::npos) << eng;
+        }
+        // The matching sample still runs.
+        EXPECT_NO_THROW(engine.run(mol));
+    }
+}
+
+TEST(Model, EngineRejectsConvWithoutScatteringPredecessor)
+{
+    // The engine fuses a conv's scatter into the previous stage's
+    // phase; a conv first in the pipeline has none and must be refused
+    // up front rather than transform a missing aggregate.
+    Rng rng(5);
+    std::vector<std::unique_ptr<Layer>> stages;
+    stages.push_back(
+        std::make_unique<GcnLayer>(4, 4, Activation::kRelu, rng));
+    Model m("conv-first", std::move(stages), Mlp({4, 1}));
+    std::string why = rejection([&] { Engine engine(m); });
+    EXPECT_NE(why.find("stage 0 (gcn)"), std::string::npos) << why;
+}
+
+TEST(Model, EdgeFeaturesIgnoredByEdgeFreeLayersAreAccepted)
+{
+    // GCN and GAT read no edge features, so any edge_dim is fine.
+    GraphSample mol = make_sample(DatasetKind::kMolHiv, 3);
+    GraphSample bare = mol;
+    bare.edge_features = Matrix();
+    for (ModelKind kind : {ModelKind::kGcn, ModelKind::kGat}) {
+        Model m = make_model(kind, mol.node_dim(), 3);
+        Engine engine(m);
+        EXPECT_EQ(engine.run(bare).embeddings, engine.run(mol).embeddings)
+            << model_name(kind);
+    }
 }
 
 } // namespace

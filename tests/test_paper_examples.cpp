@@ -13,9 +13,14 @@
 #include "nn/gin_layer.h"
 #include "nn/model.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
+
+using testing::make_identity;
+using testing::message;
+using testing::transform;
 
 /**
  * Paper Fig. 5: edge list {(n0,n1), (n1,n2), (n1,n3), (n2,n1)}, two NT
@@ -83,18 +88,13 @@ TEST(PaperMath, GcnTwoNodeHandComputation)
 
     Rng rng(1);
     GcnLayer gcn(2, 2, Activation::kIdentity, rng);
-    Matrix &w = const_cast<Linear &>(gcn.linear()).weight();
-    w.fill(0.0f);
-    w(0, 0) = 1.0f; // identity weights
-    w(1, 1) = 1.0f;
-    const_cast<Linear &>(gcn.linear()).bias_ref() = {0.0f, 0.0f};
+    make_identity(const_cast<Linear &>(gcn.linear()));
 
     LayerContext ctx = make_layer_context(s);
     // Node 0: deg_hat = 2 both sides -> message from 1 = x1/2,
     // self = x0/2; out = [0.5, 1.0].
-    Vec msg = gcn.message(s.node_features.row_vec(1), nullptr, 0, 1, 0,
-                          ctx);
-    Vec out = gcn.transform(s.node_features.row_vec(0), msg, 0, ctx);
+    Vec msg = message(gcn, s.node_features.row_vec(1), nullptr, 1, 0, ctx);
+    Vec out = transform(gcn, s.node_features.row_vec(0), msg, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 0.5f);
     EXPECT_FLOAT_EQ(out[1], 1.0f);
 }
@@ -114,22 +114,15 @@ TEST(PaperMath, GinEquationOneHandComputation)
     // Make the MLP the identity: layer0 = [I; 0] (2->4), layer1 picks
     // the first two rows back out (4->2).
     Mlp &mlp = const_cast<Mlp &>(gin.mlp());
-    mlp.layer(0).weight().fill(0.0f);
-    mlp.layer(0).weight()(0, 0) = 1.0f;
-    mlp.layer(0).weight()(1, 1) = 1.0f;
-    mlp.layer(0).bias_ref() = Vec(4, 0.0f);
-    mlp.layer(1).weight().fill(0.0f);
-    mlp.layer(1).weight()(0, 0) = 1.0f;
-    mlp.layer(1).weight()(1, 1) = 1.0f;
-    mlp.layer(1).bias_ref() = Vec(2, 0.0f);
+    make_identity(mlp.layer(0));
+    make_identity(mlp.layer(1));
 
     LayerContext ctx = make_layer_context(s);
     // Message from node 1: ReLU(x1) = [3, 0].
-    Vec msg = gin.message(s.node_features.row_vec(1), nullptr, 0, 1, 0,
-                          ctx);
+    Vec msg = message(gin, s.node_features.row_vec(1), nullptr, 1, 0, ctx);
     EXPECT_EQ(msg, (Vec{3.0f, 0.0f}));
     // x0' = MLP((1+eps)*x0 + msg), eps = 0.1, hidden ReLU clips.
-    Vec out = gin.transform(s.node_features.row_vec(0), msg, 0, ctx);
+    Vec out = transform(gin, s.node_features.row_vec(0), msg, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.1f + 3.0f);
     // Second component: (1.1 * -1 + 0) = -1.1, ReLU in hidden -> 0.
     EXPECT_FLOAT_EQ(out[1], 0.0f);

@@ -8,9 +8,13 @@
 #include "nn/sage_layer.h"
 #include "nn/sgc_layer.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
+
+using testing::message;
+using testing::transform;
 
 GraphSample
 path_sample(std::size_t dim)
@@ -39,7 +43,7 @@ TEST(SageLayer, MessageIsRawEmbedding)
     GraphSample s = path_sample(3);
     LayerContext ctx = make_layer_context(s);
     Vec x{1.5f, -2.0f, 0.25f};
-    EXPECT_EQ(sage.message(x, nullptr, 0, 0, 1, ctx), x);
+    EXPECT_EQ(message(sage, x, nullptr, 0, 1, ctx), x);
 }
 
 TEST(SageLayer, TransformSumsSelfAndNeighborPaths)
@@ -51,9 +55,9 @@ TEST(SageLayer, TransformSumsSelfAndNeighborPaths)
     // With zero aggregate the neighbor path contributes only its bias.
     Vec zero_agg(2, 0.0f);
     Vec x{1.0f, 2.0f};
-    Vec with_zero = sage.transform(x, zero_agg, 0, ctx);
+    Vec with_zero = transform(sage, x, zero_agg, 0, ctx);
     Vec agg{3.0f, -1.0f};
-    Vec with_agg = sage.transform(x, agg, 0, ctx);
+    Vec with_agg = transform(sage, x, agg, 0, ctx);
     EXPECT_GT(max_abs_diff(with_zero, with_agg), 0.0f);
 }
 
@@ -70,11 +74,11 @@ TEST(SgcLayer, MatchesGcnNormalizationArithmetic)
     SgcLayer sgc(2);
     GraphSample s = path_sample(2);
     LayerContext ctx = make_layer_context(s);
-    Vec msg = sgc.message({1.0f, 1.0f}, nullptr, 0, 1, 2, ctx);
+    Vec msg = message(sgc, {1.0f, 1.0f}, nullptr, 1, 2, ctx);
     float norm = 1.0f / std::sqrt(2.0f * 2.0f);
     EXPECT_FLOAT_EQ(msg[0], norm);
     // Transform adds the renormalized self loop: agg + x / (deg+1).
-    Vec out = sgc.transform({4.0f, 4.0f}, {1.0f, 1.0f}, 2, ctx);
+    Vec out = transform(sgc, {4.0f, 4.0f}, {1.0f, 1.0f}, 2, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.0f + 4.0f / 2.0f);
 }
 

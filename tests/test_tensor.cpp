@@ -56,48 +56,10 @@ TEST(Matrix, EqualityIsElementwise)
     EXPECT_NE(a, b);
 }
 
-TEST(Ops, AddAndAxpy)
-{
-    Vec y{1, 2, 3}, x{10, 20, 30};
-    add_inplace(y, x);
-    EXPECT_EQ(y, (Vec{11, 22, 33}));
-    axpy_inplace(y, 2.0f, x);
-    EXPECT_EQ(y, (Vec{31, 62, 93}));
-    EXPECT_EQ(add(x, x), (Vec{20, 40, 60}));
-    EXPECT_EQ(sub(x, x), (Vec{0, 0, 0}));
-}
-
 TEST(Ops, SizeMismatchThrows)
 {
     Vec y{1, 2}, x{1, 2, 3};
-    EXPECT_THROW(add_inplace(y, x), std::invalid_argument);
-    EXPECT_THROW(dot(y, x), std::invalid_argument);
     EXPECT_THROW(max_abs_diff(y, x), std::invalid_argument);
-}
-
-TEST(Ops, ScaleAndDotAndSum)
-{
-    Vec x{1, -2, 3};
-    EXPECT_EQ(scale(x, -1.0f), (Vec{-1, 2, -3}));
-    EXPECT_FLOAT_EQ(dot(x, x), 14.0f);
-    EXPECT_FLOAT_EQ(sum(x), 2.0f);
-    EXPECT_FLOAT_EQ(norm2({3, 4}), 5.0f);
-}
-
-TEST(Ops, MinMaxInplace)
-{
-    Vec y{1, 5, 3}, x{2, 2, 2};
-    Vec y2 = y;
-    max_inplace(y, x);
-    EXPECT_EQ(y, (Vec{2, 5, 3}));
-    min_inplace(y2, x);
-    EXPECT_EQ(y2, (Vec{1, 2, 2}));
-}
-
-TEST(Ops, Concat)
-{
-    EXPECT_EQ(concat({{1, 2}, {}, {3}}), (Vec{1, 2, 3}));
-    EXPECT_TRUE(concat({}).empty());
 }
 
 TEST(Ops, MaxAbsDiffVectorsAndMatrices)

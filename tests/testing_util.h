@@ -8,6 +8,7 @@
 
 #include "graph/generators.h"
 #include "graph/sample.h"
+#include "nn/layer.h"
 #include "tensor/rng.h"
 
 namespace flowgnn::testing {
@@ -52,6 +53,40 @@ make_random_graph(std::uint32_t flavor, NodeId num_nodes,
       default:
         return make_barabasi_albert(num_nodes, 2, rng);
     }
+}
+
+/** Sets W(o, i) = [o == i] and a zero bias: the identity map, or
+ * [I; 0] / [I 0] for a non-square layer. */
+inline void
+make_identity(Linear &lin)
+{
+    for (std::size_t o = 0; o < lin.out_dim(); ++o)
+        for (std::size_t i = 0; i < lin.in_dim(); ++i)
+            lin.weight(o, i) = (o == i) ? 1.0f : 0.0f;
+    lin.bias_ref().assign(lin.out_dim(), 0.0f);
+}
+
+/** phi through the span kernel, returned as a Vec (unit tests). */
+inline Vec
+message(const Layer &layer, const Vec &x_src, const float *edge_feat,
+        NodeId src, NodeId dst, const LayerContext &ctx)
+{
+    Vec msg(layer.msg_dim());
+    layer.message_into(x_src.data(), edge_feat, src, dst, ctx, msg.data());
+    return msg;
+}
+
+/** gamma through the span kernel, returned as a Vec (unit tests). An
+ * empty `agg` stands for "no aggregate" (msg_dim() == 0). */
+inline Vec
+transform(const Layer &layer, const Vec &x_self, const Vec &agg,
+          NodeId node, const LayerContext &ctx)
+{
+    Vec out(layer.out_dim());
+    Vec scratch(layer.scratch_dim());
+    layer.transform_into(x_self.data(), agg.empty() ? nullptr : agg.data(),
+                         node, ctx, out.data(), scratch.data());
+    return out;
 }
 
 } // namespace flowgnn::testing
