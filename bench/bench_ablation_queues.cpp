@@ -10,7 +10,7 @@
  * cross-graph streaming throughput (StreamRunner) at each depth.
  */
 #include "bench_common.h"
-#include "serve/stream.h"
+#include "pool/stream.h"
 
 using namespace flowgnn;
 
@@ -46,13 +46,13 @@ main()
         for (std::size_t depth : {1u, 2u, 4u, 8u, 16u, 64u}) {
             EngineConfig cfg;
             cfg.queue_depth = depth;
-            InferenceService service(model, cfg);
+            PoolScheduler pool(model, cfg);
 
             SampleStream stream(c.dataset, c.graphs);
             std::vector<std::future<RunResult>> futures;
             futures.reserve(stream.size());
             for (std::size_t i = 0; i < stream.size(); ++i)
-                futures.push_back(service.submit(stream.next()));
+                futures.push_back(pool.submit(stream.next()));
 
             double stalls = 0.0;
             std::size_t peak = 0;
@@ -67,7 +67,7 @@ main()
             latency /= c.graphs;
             stalls /= c.graphs;
 
-            StreamRunner runner(service);
+            StreamRunner runner(pool);
             SampleStream stream2(c.dataset, c.graphs);
             StreamRunStats st = runner.run(stream2, c.graphs);
 

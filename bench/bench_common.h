@@ -15,7 +15,7 @@
 
 #include "datasets/dataset.h"
 #include "graph/generators.h"
-#include "serve/service.h"
+#include "pool/scheduler.h"
 #include "tensor/rng.h"
 
 namespace flowgnn::bench {
@@ -30,10 +30,10 @@ struct StreamResult {
 
 /**
  * Streams `count` consecutive graphs (batch size 1, zero
- * pre-processing) through an InferenceService over the given
- * configuration and averages latency, mirroring the paper's on-board
- * measurement loop. The modeled cycle counts are per-graph
- * deterministic, so the averages are independent of replica count.
+ * pre-processing) through a die pool over the given configuration
+ * and averages latency, mirroring the paper's on-board measurement
+ * loop. The modeled cycle counts are per-graph deterministic, so the
+ * averages are independent of die count.
  */
 inline StreamResult
 run_stream(const Model &model, const EngineConfig &config,
@@ -43,11 +43,11 @@ run_stream(const Model &model, const EngineConfig &config,
     StreamResult out;
     out.graphs = stream.size();
 
-    InferenceService service(model, config);
+    PoolScheduler pool(model, config);
     std::vector<std::future<RunResult>> futures;
     futures.reserve(out.graphs);
     for (std::size_t i = 0; i < out.graphs; ++i)
-        futures.push_back(service.submit(stream.next()));
+        futures.push_back(pool.submit(stream.next()));
 
     double imb = 0.0;
     for (auto &future : futures) {

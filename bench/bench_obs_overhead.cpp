@@ -28,9 +28,9 @@
 #include <fstream>
 #include <string>
 
+#include "datasets/dataset.h"
 #include "obs/trace_session.h"
-#include "serve/service.h"
-#include "serve/stream.h"
+#include "pool/scheduler.h"
 
 using namespace flowgnn;
 
@@ -44,18 +44,20 @@ now_s()
         .count();
 }
 
-/** Streams `graphs` molhiv graphs through a 2-replica service and
- * returns the wall seconds. */
+/** Streams `graphs` molhiv graphs through a 2-die pool and returns
+ * the wall seconds. */
 double
 run_workload(const Model &model, std::size_t graphs)
 {
-    InferenceService service(model);
+    PoolConfig config;
+    config.num_dies = 2;
+    PoolScheduler pool(model, EngineConfig{}, config);
     SampleStream stream(DatasetKind::kMolHiv, graphs);
     std::vector<std::future<RunResult>> futures;
     futures.reserve(graphs);
     const double t0 = now_s();
     for (std::size_t i = 0; i < graphs; ++i)
-        futures.push_back(service.submit(stream.next()));
+        futures.push_back(pool.submit(stream.next()));
     for (auto &f : futures)
         f.get();
     return now_s() - t0;
@@ -86,7 +88,7 @@ main(int argc, char **argv)
     constexpr std::size_t kSpanIters = 20'000'000;
     const double span_t0 = now_s();
     for (std::size_t i = 0; i < kSpanIters; ++i)
-        obs::Span span(obs::Track::kServe, "probe");
+        obs::Span span(obs::Track::kPool, "probe");
     const double disabled_span_ns =
         (now_s() - span_t0) * 1e9 / kSpanIters;
     std::printf("disabled Span cost:   %.2f ns "

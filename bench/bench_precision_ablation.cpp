@@ -41,13 +41,13 @@ Drift
 measure_drift(const Model &model, FixedPointFormat fmt,
               std::size_t graphs)
 {
-    // Fixed-point emulation is a per-run option: the same service
-    // replicas would serve fp32 requests unchanged.
+    // Fixed-point emulation is a per-run option: the same pool dies
+    // would serve fp32 requests unchanged.
     RunOptions opts;
     opts.emulate_fixed_point = true;
     opts.fixed_point = fmt;
 
-    InferenceService service(model);
+    PoolScheduler pool(model);
     SampleStream stream(DatasetKind::kMolHiv, graphs);
     std::vector<GraphSample> samples;
     std::vector<std::future<RunResult>> futures;
@@ -55,7 +55,7 @@ measure_drift(const Model &model, FixedPointFormat fmt,
     futures.reserve(stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i) {
         samples.push_back(stream.next());
-        futures.push_back(service.submit(samples.back(), opts));
+        futures.push_back(pool.submit(samples.back(), opts));
     }
 
     Drift drift;

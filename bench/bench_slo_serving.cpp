@@ -64,26 +64,6 @@ percentile(std::vector<std::uint64_t> v, double q)
     return v[idx];
 }
 
-/** Integral of the active-die cap over [0, makespan), in die-cycles. */
-double
-provisioned_die_cycles(const SimResult &r, std::size_t static_dies)
-{
-    if (r.active_timeline.empty())
-        return static_cast<double>(static_dies) *
-               static_cast<double>(r.makespan);
-    double area = 0.0;
-    for (std::size_t i = 0; i < r.active_timeline.size(); ++i) {
-        const std::uint64_t t0 = r.active_timeline[i].first;
-        const std::uint64_t t1 = i + 1 < r.active_timeline.size()
-            ? r.active_timeline[i + 1].first
-            : r.makespan;
-        if (t1 > t0)
-            area += static_cast<double>(r.active_timeline[i].second) *
-                static_cast<double>(t1 - t0);
-    }
-    return area;
-}
-
 } // namespace
 
 int
@@ -256,7 +236,7 @@ main(int argc, char **argv)
             p.preemptions = r.preemptions;
             p.makespan = r.makespan;
             p.provisioned_die_mcycles =
-                provisioned_die_cycles(r, kDies) / 1e6;
+                static_cast<double>(provisioned_die_cycles(r)) / 1e6;
             p.idle_energy_mj =
                 pool_schedule_energy(r, cfg.clock_mhz).idle_mj;
             points.push_back(std::move(p));

@@ -7,8 +7,7 @@
  * deployment (e.g. the HEP trigger) actually provisions against.
  */
 #include "bench_common.h"
-#include "serve/stream.h"
-#include "serve/service.h"
+#include "pool/stream.h"
 
 using namespace flowgnn;
 
@@ -39,8 +38,8 @@ main()
         for (ModelKind kind : kPaperModels) {
             Model model =
                 make_model(kind, probe.node_dim(), probe.edge_dim());
-            InferenceService service(model);
-            StreamRunner runner(service);
+            PoolScheduler pool(model);
+            StreamRunner runner(pool);
             SampleStream stream(c.dataset, c.graphs);
             StreamRunStats st = runner.run(stream, c.graphs);
             std::printf("%-7s | %14.4f | %14.0f | %11.3fx | %10zu\n",

@@ -2,9 +2,9 @@
  * @file
  * flowgnn_cli — command-line driver for the accelerator simulator.
  *
- * Spins up a flowgnn::serve InferenceService (N engine replicas
- * behind a bounded queue), streams graphs through it, and prints
- * latency, utilization, and service telemetry; with --dse it instead
+ * Spins up a PoolScheduler (N engine dies behind a bounded queue),
+ * streams graphs through it, and prints latency, utilization, and
+ * pool telemetry; with --dse it instead
  * searches for the fastest configuration that fits the Alveo U50;
  * with --graph-file it runs one sharded-from-disk graph through a
  * PoolScheduler ghost-exchange job.
@@ -32,14 +32,13 @@
 #include <future>
 #include <vector>
 
-#include "serve/stream.h"
 #include "core/trace.h"
 #include "io/load.h"
 #include "obs/stage_profile.h"
 #include "obs/trace_session.h"
 #include "perf/dse.h"
 #include "pool/scheduler.h"
-#include "serve/service.h"
+#include "pool/stream.h"
 
 using namespace flowgnn;
 
@@ -50,7 +49,11 @@ struct CliOptions {
     DatasetKind dataset = DatasetKind::kMolHiv;
     std::size_t graphs = 32;
     EngineConfig config;
-    ServiceConfig service;
+    PoolConfig pool = [] {
+        PoolConfig p;
+        p.num_dies = 2;
+        return p;
+    }();
     bool run_dse = false;
     bool balanced_banks = false;
     std::string trace_path;
@@ -94,8 +97,8 @@ usage(const char *argv0)
         "  --pnode/--pedge/--papply/--pscatter N\n"
         "  --mode <flowgnn|baseline|fixed|nonpipelined>\n"
         "  --queue-depth N     adapter FIFO depth (default 8)\n"
-        "  --replicas N        service engine replicas (default 2)\n"
-        "  --queue-capacity N  service submission queue (default 64)\n"
+        "  --replicas N        pool dies, one engine each (default 2)\n"
+        "  --queue-capacity N  pool pending-job queue (default 64)\n"
         "  --balanced-banks    greedy-balanced MP banking ablation\n"
         "  --trace FILE        capture the whole run as a Chrome trace\n"
         "                      (all subsystems + engine cycle rows)\n"
@@ -181,9 +184,10 @@ parse_args(int argc, char **argv)
         } else if (arg == "--queue-depth") {
             opt.config.queue_depth = std::stoul(next());
         } else if (arg == "--replicas") {
-            opt.service.replicas = std::stoul(next());
+            opt.pool.num_dies =
+                static_cast<std::uint32_t>(std::stoul(next()));
         } else if (arg == "--queue-capacity") {
-            opt.service.queue_capacity = std::stoul(next());
+            opt.pool.queue_capacity = std::stoul(next());
         } else if (arg == "--balanced-banks") {
             opt.balanced_banks = true;
         } else if (arg == "--trace") {
@@ -239,7 +243,7 @@ run_dse(const CliOptions &opt)
 } // namespace
 
 int
-run_service(const CliOptions &opt)
+run_pool(const CliOptions &opt)
 {
     std::unique_ptr<obs::TraceSession> session;
     if (!opt.trace_path.empty()) {
@@ -250,32 +254,32 @@ run_service(const CliOptions &opt)
     GraphSample probe = make_sample(opt.dataset, 0);
     Model model =
         make_model(opt.model, probe.node_dim(), probe.edge_dim());
-    ServiceConfig service_config = opt.service;
-    service_config.metrics = obs::MetricsRegistry::global();
-    InferenceService service(model, opt.config, service_config);
+    PoolConfig pool_config = opt.pool;
+    pool_config.metrics = obs::MetricsRegistry::global();
+    PoolScheduler pool(model, opt.config, pool_config);
 
     if (session) {
-        // Graph 0 with unit-trace capture: the replica merges the
-        // engine's cycle rows onto the session timeline.
+        // Graph 0 with unit-trace capture: the die merges the engine's
+        // cycle rows onto the session timeline.
         RunOptions trace_opts;
         trace_opts.capture_trace = true;
-        service.submit(probe, trace_opts).get();
+        pool.submit(probe, trace_opts).get();
     }
 
     std::printf("%s on %s, %s, Pnode=%u Pedge=%u Papply=%u Pscatter=%u, "
-                "queue depth %zu, %zu replicas\n",
+                "queue depth %zu, %zu dies\n",
                 model_name(opt.model), dataset_spec(opt.dataset).name,
                 pipeline_mode_name(opt.config.mode), opt.config.p_node,
                 opt.config.p_edge, opt.config.p_apply,
                 opt.config.p_scatter, opt.config.queue_depth,
-                service.replica_count());
+                pool.num_dies());
 
     SampleStream stream(opt.dataset, opt.graphs);
     std::size_t count = std::max<std::size_t>(stream.size(), 1);
     std::vector<std::future<RunResult>> futures;
     futures.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
-        futures.push_back(service.submit(stream.next()));
+        futures.push_back(pool.submit(stream.next()));
 
     double latency = 0.0, nt_util = 0.0, mp_util = 0.0, imb = 0.0;
     for (auto &future : futures) {
@@ -300,7 +304,7 @@ run_service(const CliOptions &opt)
                 100.0 * mp_util / count);
     std::printf("Avg MP imbalance:     %.2f%%\n", 100.0 * imb / count);
 
-    StreamRunner runner(service);
+    StreamRunner runner(pool);
     SampleStream stream2(opt.dataset, opt.graphs);
     StreamRunStats st = runner.run(stream2, count);
     std::printf("Stream throughput:    %.0f graphs/s (load/compute "
@@ -308,22 +312,28 @@ run_service(const CliOptions &opt)
                 st.graphs_per_second(opt.config.clock_mhz),
                 st.throughput_speedup());
 
-    ServiceStats svc = service.stats();
-    std::printf("\nService: %zu submitted, %zu completed, %zu rejected; "
+    pool.drain();
+    PoolStats ps = pool.stats();
+    std::printf("\nPool: %zu submitted, %zu completed, %zu rejected; "
                 "host throughput %.0f graphs/s\n",
-                svc.submitted, svc.completed, svc.rejected,
-                svc.throughput_gps);
-    std::printf("Service latency:      p50 %.3f ms | p95 %.3f ms | "
+                ps.submitted(), ps.completed(),
+                ps.fast.rejected + ps.sharded.rejected,
+                ps.uptime_ms <= 0.0
+                    ? 0.0
+                    : static_cast<double>(ps.completed()) * 1e3 /
+                          ps.uptime_ms);
+    std::printf("Pool latency:         p50 %.3f ms | p95 %.3f ms | "
                 "p99 %.3f ms (wall, submit->done)\n",
-                svc.p50_ms, svc.p95_ms, svc.p99_ms);
-    std::printf("Submission queue:     peak %zu / %zu\n",
-                svc.queue_peak_occupancy, svc.queue_capacity);
-    for (std::size_t r = 0; r < svc.replicas.size(); ++r)
-        std::printf("Replica %zu:            %zu graphs, %.1f%% busy\n",
-                    r, svc.replicas[r].completed,
-                    100.0 * svc.replicas[r].utilization);
+                ps.latency_p50_ms, ps.latency_p95_ms, ps.latency_p99_ms);
+    std::printf("Queue delay:          p50 %.3f ms | p99 %.3f ms "
+                "(capacity %zu, peak busy dies %zu)\n",
+                ps.queue_delay_p50_ms, ps.queue_delay_p99_ms,
+                ps.queue_capacity, ps.peak_busy_dies);
+    for (std::size_t d = 0; d < ps.dies.size(); ++d)
+        std::printf("Die %zu:                %zu graphs, %.1f%% busy\n",
+                    d, ps.dies[d].leases,
+                    100.0 * ps.dies[d].utilization);
 
-    service.drain();
     if (session)
         write_trace(*session, opt.trace_path);
     if (!opt.metrics_path.empty())
@@ -412,7 +422,7 @@ main(int argc, char **argv)
             return run_dse(opt);
         if (!opt.graph_file.empty())
             return run_sharded_file(opt);
-        return run_service(opt);
+        return run_pool(opt);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

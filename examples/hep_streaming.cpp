@@ -5,9 +5,9 @@
  * Collision events arrive as kNN particle-cloud graphs that must be
  * classified one at a time (batch size 1) under a hard latency budget
  * — overrunning the budget overflows the detector buffers and loses
- * data. This example streams 500 HEP events through a two-replica
- * GIN inference service, tracks the latency distribution, and reports
- * how many events met a 0.2 ms trigger deadline.
+ * data. This example streams 500 HEP events through a two-die GIN
+ * pool, tracks the latency distribution, and reports how many events
+ * met a 0.2 ms trigger deadline.
  */
 #include <algorithm>
 #include <cstdio>
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "datasets/dataset.h"
-#include "serve/service.h"
+#include "pool/scheduler.h"
 
 using namespace flowgnn;
 
@@ -28,17 +28,19 @@ main()
     GraphSample probe = make_sample(DatasetKind::kHep, 0);
     Model model =
         make_model(ModelKind::kGin, probe.node_dim(), probe.edge_dim());
-    InferenceService service(model);
+    PoolConfig config;
+    config.num_dies = 2;
+    PoolScheduler pool(model, EngineConfig{}, config);
 
     std::printf("Streaming %zu HEP events (kNN graphs, k=16) through "
-                "GIN at batch size 1 (%zu replicas)...\n",
-                kEvents, service.replica_count());
+                "GIN at batch size 1 (%zu dies)...\n",
+                kEvents, pool.num_dies());
 
     SampleStream stream(DatasetKind::kHep, kEvents);
     std::vector<std::future<RunResult>> futures;
     futures.reserve(kEvents);
     for (std::size_t i = 0; i < kEvents; ++i)
-        futures.push_back(service.submit(stream.next()));
+        futures.push_back(pool.submit(stream.next()));
 
     std::vector<double> latencies;
     latencies.reserve(kEvents);

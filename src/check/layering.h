@@ -18,8 +18,8 @@
  *     layer <name> : [<dep> ...]   # direct allowed dependencies
  *     path <prefix> <layer>        # assign files to layers
  *
- * Layer dependencies are transitively closed, so `layer serve :
- * engine obs` lets serve reach everything engine and obs may reach.
+ * Layer dependencies are transitively closed, so `layer pool :
+ * engine obs` lets pool reach everything engine and obs may reach.
  * Path rules are plain string prefixes on root-relative paths;
  * the longest matching prefix wins, which is how single files are
  * carved out of their directory (e.g. `path core/engine. engine`

@@ -116,7 +116,7 @@ enum class SegmentOutcome {
  * Reusable per-run scratch memory. A workspace keeps the graph-sized
  * buffers (bank maps, embedding ping-pong arrays, aggregator state)
  * alive across runs so a long-lived replica's hot path stops paying
- * per-graph allocation; each serve replica owns exactly one. Not
+ * per-graph allocation; each pool die owns exactly one. Not
  * thread-safe: never share one workspace between concurrent runs.
  */
 class RunWorkspace

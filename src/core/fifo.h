@@ -8,9 +8,9 @@
  * Concurrency contract: this type models hardware inside one
  * single-threaded cycle-stepped engine and is deliberately
  * unsynchronized — it carries no thread-safety annotations because it
- * has no locks. The thread-safe software counterpart is
- * serve/bounded_queue.h's BoundedQueue, which wraps a Fifo behind an
- * annotated flowgnn::Mutex (core/sync.h).
+ * has no locks. Its thread-safe software counterpart is the
+ * PoolScheduler's bounded pending-job queue (pool/scheduler.h), guarded
+ * by an annotated flowgnn::Mutex (core/sync.h).
  */
 #ifndef FLOWGNN_CORE_FIFO_H
 #define FLOWGNN_CORE_FIFO_H
@@ -46,8 +46,8 @@ class Fifo
         return !full() && push(T(item));
     }
 
-    /** Move push, for element types that are move-only (e.g. the serve
-     * subsystem's jobs, which carry a std::promise). */
+    /** Move push, for element types that are move-only (e.g. jobs that
+     * carry a std::promise). */
     bool
     push(T &&item)
     {

@@ -1,31 +1,14 @@
 /**
  * @file
- * Small wall-clock telemetry helpers shared by the serve and pool
- * layers (latency/queue-delay percentiles, steady-clock deltas), so
- * every service computes its percentiles the same way.
+ * Wall-clock telemetry helper shared by the pool's dies and scheduler:
+ * steady-clock deltas in milliseconds.
  */
 #ifndef FLOWGNN_CORE_TELEMETRY_H
 #define FLOWGNN_CORE_TELEMETRY_H
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <vector>
 
 namespace flowgnn {
-
-/** Nearest-rank percentile of an already-sorted sample vector. */
-inline double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p * static_cast<double>(sorted.size())));
-    if (rank == 0)
-        rank = 1;
-    return sorted[std::min(rank, sorted.size()) - 1];
-}
 
 /** Milliseconds from `a` to `b`. */
 inline double

@@ -55,7 +55,7 @@ struct TraceEvent {
  * (no metadata).
  *
  * For a multi-subsystem wall-clock timeline that merges this cycle
- * trace with serve/pool/shard/ghost/io spans, see
+ * trace with pool/shard/ghost/io spans, see
  * obs/trace_session.h.
  */
 void write_chrome_trace(std::ostream &os,

@@ -24,7 +24,7 @@
  *    registries can be combined without losing quantile accuracy.
  *
  * Naming scheme (see docs/DESIGN.md "Observability"): metric names are
- * dot-separated `<subsystem>.<noun>[_<unit>]`, e.g. `serve.latency_ms`,
+ * dot-separated `<subsystem>.<noun>[_<unit>]`, e.g. `pool.latency_ms`,
  * `pool.queue_delay_ms`, `io.bytes_mapped`. Prometheus export rewrites
  * dots to underscores and prefixes `flowgnn_`.
  */

@@ -32,7 +32,6 @@ track_name(Track track)
     switch (track) {
       case Track::kHost: return "host";
       case Track::kIo: return "io";
-      case Track::kServe: return "serve";
       case Track::kPool: return "pool";
       case Track::kShard: return "shard";
       case Track::kGhost: return "ghost";
@@ -227,7 +226,7 @@ TraceSession::write_chrome_trace(std::ostream &os) const
     };
 
     // Process metadata: one row per subsystem, sorted by track id so
-    // serve/pool/shard/ghost read top-to-bottom in pipeline order.
+    // pool/shard/ghost read top-to-bottom in pipeline order.
     for (std::uint8_t t : tracks_used) {
         emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
              std::to_string(t) + ", \"args\": {\"name\": \"" +

@@ -7,8 +7,8 @@
  * trace-event JSON (open in Perfetto / chrome://tracing). Each
  * subsystem is a *process* row (Track), each recording thread (or
  * explicitly-addressed unit) a *thread* row inside it, so a single
- * view shows: io open/parse/plan stages, serve submit + queue-wait,
- * pool die leases, per-slice shard execution, per-layer ghost
+ * view shows: io open/parse/plan stages, pool queue-wait and die
+ * leases, per-slice shard execution, per-layer ghost
  * exchanges — and, merged onto the same timeline through a cycle→µs
  * CycleClockMap, the engine's cycle-domain unit trace.
  *
@@ -59,15 +59,14 @@ namespace obs {
 enum class Track : std::uint8_t {
     kHost = 0, ///< driver / bench stages (open, features, ...)
     kIo,       ///< graph ingestion: mmap, checksum, parse
-    kServe,    ///< InferenceService: submit, queue-wait, replica runs
     kPool,     ///< PoolScheduler/DiePool: queue-wait, die leases
     kShard,    ///< halo sharding: planning, per-slice execution
     kGhost,    ///< ghost exchange: planning, pricing, modeled timeline
     kEngine,   ///< cycle-domain engine unit trace (mapped to µs)
 };
-constexpr std::size_t kNumTracks = 7;
+constexpr std::size_t kNumTracks = 6;
 
-/** Display name of a track ("serve", "pool", ...). */
+/** Display name of a track ("pool", "shard", ...). */
 const char *track_name(Track track);
 
 /** Maps modeled kernel cycles onto the session's wall timeline. */

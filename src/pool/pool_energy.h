@@ -10,7 +10,10 @@
  * converting a schedule's per-die busy-cycle occupancy (from the
  * cycle-domain simulator, or any measured timeline) into the
  * die_busy_ms vector multi_die_energy prices, so policies can be
- * compared in millijoules as well as makespan.
+ * compared in millijoules as well as makespan. Dies an autoscaler
+ * switched off (SimResult::active_timeline) are parked and draw
+ * nothing: every die-cycle of the makespan is busy, idle (provisioned
+ * but not computing) or parked.
  */
 #ifndef FLOWGNN_POOL_POOL_ENERGY_H
 #define FLOWGNN_POOL_POOL_ENERGY_H
@@ -23,9 +26,17 @@
 namespace flowgnn {
 
 /**
+ * Die-cycles the pool kept switched on: the integral of the active-die
+ * cap over [0, makespan), or D x makespan for a static pool (empty
+ * active_timeline).
+ */
+std::uint64_t provisioned_die_cycles(const SimResult &sched);
+
+/**
  * Prices a simulated schedule with the multi-die energy model using
  * its exact per-die occupancy: die d is charged active power for
- * die_busy[d] cycles and static power for the rest of the makespan.
+ * die_busy[d] cycles, and static power is charged on the provisioned
+ * die time (provisioned_die_cycles) that is not busy.
  *
  * @param sched      outcome of simulate_pool_schedule
  * @param clock_mhz  engine clock used to convert cycles to wall time

@@ -128,8 +128,12 @@ simulate_pool_schedule(const std::vector<SimJob> &jobs,
                          return jobs[a].arrival < jobs[b].arrival;
                      });
 
-    const bool preemptable_policy = policy == PoolPolicy::kPriority ||
-        policy == PoolPolicy::kEdf;
+    PolicyRules rules;
+    rules.policy = policy;
+    rules.easy_backfill = options.easy_backfill;
+    rules.aging = options.aging_cycles;
+    rules.preemption = options.enable_preemption;
+    rules.preempt_priority_gap = options.preempt_priority_gap;
 
     // Elastic capacity: the autoscaler's target caps concurrency.
     std::size_t cap_target =
@@ -141,127 +145,84 @@ simulate_pool_schedule(const std::vector<SimJob> &jobs,
         ? options.window_cycles
         : kNever;
 
-    // EDF order: earliest absolute deadline, ties FIFO (scan `order`).
-    auto edf_pick = [&](std::uint64_t now) -> std::size_t {
-        std::size_t best = jobs.size();
+    // The policy core's view of the pool at `now`: arrived jobs with
+    // tasks still needing a die (queue_job maps back to job indices)
+    // and the busy dies (running_die maps back to die indices).
+    std::vector<QueuedJob> queue;
+    std::vector<std::size_t> queue_job;
+    std::vector<RunningTask> running;
+    std::vector<std::uint32_t> running_die;
+    std::uint64_t now = 0;
+    // Yield arithmetic: a preempted task yields at the next
+    // layer-boundary multiple since its start.
+    auto yield_at = [&](std::uint32_t d) {
+        const std::uint64_t b = jobs[die_job[d]].boundary_cycles;
+        return die_started[d] + ((now - die_started[d]) / b + 1) * b;
+    };
+    auto decide_at = [&](std::size_t urgent_job) {
+        queue.clear();
+        queue_job.clear();
+        std::size_t urgent = PolicyDecision::kNone;
         for (std::size_t j : order) {
             const JobState &st = states[j];
             if (!st.pending() || jobs[j].arrival > now)
                 continue;
-            if (best == jobs.size() ||
-                st.abs_deadline < states[best].abs_deadline)
-                best = j;
+            if (j == urgent_job)
+                urgent = queue.size();
+            QueuedJob q;
+            q.remaining = st.remaining();
+            q.width = st.job->task_cycles.size() - st.done_tasks;
+            q.started = st.dispatched_any;
+            q.priority = jobs[j].priority;
+            q.admit = jobs[j].arrival;
+            q.deadline = st.abs_deadline;
+            q.longest_task = st.max_owed();
+            queue.push_back(q);
+            queue_job.push_back(j);
         }
-        return best;
+        running.clear();
+        running_die.clear();
+        for (std::uint32_t d = 0; d < num_dies; ++d) {
+            if (!die_busy_now[d])
+                continue;
+            const SimJob &job = jobs[die_job[d]];
+            RunningTask r;
+            r.priority = job.priority;
+            r.deadline = states[die_job[d]].abs_deadline;
+            r.finish = free_at[d];
+            // No victim when unpreemptible, already yielding, or done
+            // before its next boundary.
+            r.yielding = die_preempting[d] || job.boundary_cycles == 0 ||
+                yield_at(d) >= free_at[d];
+            running.push_back(r);
+            running_die.push_back(d);
+        }
+        PolicyInput in;
+        in.queue = queue;
+        in.running = running;
+        in.target = cap_target;
+        in.num_dies = num_dies;
+        in.now = now;
+        in.urgent = urgent;
+        PolicyDecision dec = decide(rules, in);
+        if (dec.reserved != PolicyDecision::kNone) {
+            std::uint64_t &res = out.reservation_[queue_job[dec.reserved]];
+            if (res == SimResult::kNoReservation)
+                res = dec.reservation;
+        }
+        return dec;
     };
 
-    std::uint64_t now = 0;
     std::size_t done_jobs = 0;
     std::size_t tasks_running = 0;
     while (done_jobs < jobs.size()) {
-        // The widest pending job raises the cap (a gang wider than
-        // the shrunk pool must still start — live effective_active).
-        std::size_t cap = cap_target;
-        for (std::size_t j : order)
-            if (states[j].pending() && jobs[j].arrival <= now)
-                cap = std::max(cap, states[j].remaining());
-        cap = std::min<std::size_t>(cap, num_dies);
-
-        // ---- Dispatch everything pickable at `now` (same selection
-        // rules as PoolScheduler::try_pick, re-evaluated after every
-        // dispatch because idle-die counts change). ----
+        // ---- Dispatch everything pickable at `now`, re-deciding
+        // after every dispatch because idle-die counts change. ----
         for (;;) {
-            if (tasks_running >= cap)
+            const PolicyDecision dec = decide_at(jobs.size());
+            if (dec.pick == PolicyDecision::kNone)
                 break;
-            const std::size_t idle = cap - tasks_running;
-
-            std::size_t pick = jobs.size(); // none
-            if (policy == PoolPolicy::kPriority) {
-                long best_eff = 0;
-                for (std::size_t j : order) {
-                    const JobState &st = states[j];
-                    if (!st.pending() || jobs[j].arrival > now)
-                        continue;
-                    long eff = jobs[j].priority;
-                    if (options.aging_cycles > 0)
-                        eff += static_cast<long>(
-                            (now - jobs[j].arrival) /
-                            options.aging_cycles);
-                    if (pick == jobs.size() || eff > best_eff) {
-                        pick = j;
-                        best_eff = eff;
-                    }
-                }
-            } else if (policy == PoolPolicy::kEdf) {
-                const std::size_t best = edf_pick(now);
-                if (best != jobs.size()) {
-                    JobState &st = states[best];
-                    if (st.dispatched_any || idle >= st.remaining())
-                        pick = best;
-                }
-            } else {
-                const JobState *blocked_head = nullptr;
-                std::size_t head_j = 0;
-                for (std::size_t j : order) {
-                    JobState &st = states[j];
-                    if (!st.pending() || jobs[j].arrival > now)
-                        continue;
-                    if (st.dispatched_any ||
-                        policy == PoolPolicy::kSpaceShare) {
-                        pick = j;
-                        break;
-                    }
-                    if (blocked_head == nullptr) {
-                        if (idle >= st.remaining()) {
-                            pick = j;
-                            break;
-                        }
-                        if (!options.easy_backfill)
-                            break; // gang head-of-line block
-                        blocked_head = &st;
-                        head_j = j;
-                        continue;
-                    }
-                    // EASY backfill: J may jump the blocked head only
-                    // if it provably cannot delay it. The reservation
-                    // is when the (width-idle)-th soonest running
-                    // finish frees the head's width; J qualifies by
-                    // ending before it (exact durations) or by fitting
-                    // in the dies the head will not need even then.
-                    const std::size_t width = st.remaining();
-                    if (width > idle)
-                        continue;
-                    std::vector<std::uint64_t> fins;
-                    fins.reserve(tasks_running);
-                    for (std::uint32_t d = 0; d < num_dies; ++d)
-                        if (die_busy_now[d])
-                            fins.push_back(free_at[d]);
-                    const std::size_t need =
-                        blocked_head->remaining() - idle;
-                    if (fins.size() < need)
-                        break; // width > dies that will ever free
-                    std::sort(fins.begin(), fins.end());
-                    const std::uint64_t reservation = fins[need - 1];
-                    if (out.reservation_[head_j] ==
-                        SimResult::kNoReservation)
-                        out.reservation_[head_j] = reservation;
-                    std::size_t freed_by_then = 0;
-                    for (std::uint64_t f : fins)
-                        freed_by_then += (f <= reservation);
-                    const std::size_t avail_at_shadow =
-                        idle + freed_by_then;
-                    const std::size_t extra = avail_at_shadow -
-                        blocked_head->remaining();
-                    if (now + st.max_owed() <= reservation ||
-                        width <= extra) {
-                        pick = j;
-                        break;
-                    }
-                }
-            }
-            if (pick == jobs.size())
-                break;
-
+            const std::size_t pick = queue_job[dec.pick];
             JobState &st = states[pick];
             if (!st.dispatched_any) {
                 st.dispatched_any = true;
@@ -354,65 +315,18 @@ simulate_pool_schedule(const std::vector<SimJob> &jobs,
             next_window += options.window_cycles;
         }
 
-        // ---- Preemption: jobs arriving exactly now evict the least
-        // urgent running preemptible task when nothing is free (the
-        // live scheduler's maybe_preempt, in cycle domain). ----
-        if (options.enable_preemption && preemptable_policy) {
-            for (std::size_t j : order) {
-                if (jobs[j].arrival != now || !states[j].pending())
-                    continue;
-                std::size_t want = states[j].remaining();
-                // Live gate: only when the effective cap is saturated
-                // (an idle-but-capped die does not block eviction).
-                std::size_t cap_now = cap_target;
-                for (std::size_t jj : order)
-                    if (states[jj].pending() &&
-                        jobs[jj].arrival <= now)
-                        cap_now = std::max(cap_now,
-                                           states[jj].remaining());
-                cap_now = std::min<std::size_t>(cap_now, num_dies);
-                if (tasks_running < cap_now)
-                    continue;
-                // Victims, least urgent first.
-                std::vector<std::uint32_t> running;
-                for (std::uint32_t d = 0; d < num_dies; ++d)
-                    if (die_busy_now[d] && !die_preempting[d])
-                        running.push_back(d);
-                std::stable_sort(
-                    running.begin(), running.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                        if (policy == PoolPolicy::kEdf)
-                            return states[die_job[a]].abs_deadline >
-                                states[die_job[b]].abs_deadline;
-                        return jobs[die_job[a]].priority <
-                            jobs[die_job[b]].priority;
-                    });
-                for (std::uint32_t d : running) {
-                    if (want == 0)
-                        break;
-                    const std::size_t vj = die_job[d];
-                    const bool more_urgent =
-                        policy == PoolPolicy::kEdf
-                            ? states[j].abs_deadline <
-                                states[vj].abs_deadline
-                            : jobs[j].priority - jobs[vj].priority >=
-                                options.preempt_priority_gap;
-                    if (!more_urgent)
-                        break;
-                    const std::uint64_t b =
-                        jobs[vj].boundary_cycles;
-                    if (b == 0)
-                        continue; // not preemptible; try the next
-                    const std::uint64_t elapsed =
-                        now - die_started[d];
-                    const std::uint64_t yield_at = die_started[d] +
-                        (elapsed / b + 1) * b;
-                    if (yield_at >= free_at[d])
-                        continue; // would finish first anyway
-                    free_at[d] = yield_at;
-                    die_preempting[d] = true;
-                    --want;
-                }
+        // ---- Preemption: each job arriving exactly now evicts the
+        // victims the policy core names; they yield at their next
+        // layer boundary. ----
+        if (!options.enable_preemption)
+            continue;
+        for (std::size_t j : order) {
+            if (jobs[j].arrival != now || !states[j].pending())
+                continue;
+            for (std::size_t v : decide_at(j).victims) {
+                const std::uint32_t d = running_die[v];
+                free_at[d] = yield_at(d);
+                die_preempting[d] = true;
             }
         }
     }

@@ -2,7 +2,9 @@
  * @file
  * Cycle-domain pool-schedule simulator: replays the PoolScheduler's
  * dispatch policies over modeled task durations, with no threads and
- * no wall clock. Given each job's per-task cycle counts (from isolated
+ * no wall clock. Every dispatch decision is the live pool's own policy
+ * core (pool/policy.h) called with cycle ticks; the simulator adds
+ * only the event clock, the yield arithmetic and autoscaler stepping. Given each job's per-task cycle counts (from isolated
  * engine runs) it answers "what makespan and die utilization would
  * this trace see under policy X" deterministically — the modeled
  * counterpart of the live pool's wall-clock numbers, and the thing CI
@@ -33,7 +35,7 @@
 #include <vector>
 
 #include "pool/autoscaler.h"
-#include "pool/scheduler.h"
+#include "pool/policy.h"
 
 namespace flowgnn {
 

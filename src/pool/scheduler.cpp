@@ -10,18 +10,6 @@
 
 namespace flowgnn {
 
-const char *
-pool_policy_name(PoolPolicy policy)
-{
-    switch (policy) {
-      case PoolPolicy::kFifoGang: return "fifo-gang";
-      case PoolPolicy::kSpaceShare: return "space-share";
-      case PoolPolicy::kPriority: return "priority";
-      case PoolPolicy::kEdf: return "edf";
-    }
-    return "unknown";
-}
-
 /** One admitted job: immutable inputs (prepared sample, plan, opts)
  * plus mutable dispatch/completion state guarded by the scheduler
  * mutex. Each task writes only its own results slot, so slices of one
@@ -31,12 +19,14 @@ struct PoolScheduler::Job {
 
     bool sharded_path = false; ///< admitted via submit_sharded*
     Deliver deliver = Deliver::kRun;
-    int priority = 0;
     JobSpec spec;
-    /** enqueued + deadline_ms; time_point::max() when no deadline. */
-    std::chrono::steady_clock::time_point abs_deadline{
-        std::chrono::steady_clock::time_point::max()};
-    std::uint64_t id = 0;       ///< admission order, for trace labels
+    /** The policy core's view of the job, in ns ticks (set at
+     * admission; start_tick at first dispatch). */
+    Tick admit_tick = 0;
+    Tick deadline_tick = kNoTick;
+    Tick est_task = kNoTick;
+    Tick start_tick = 0;
+    std::uint64_t id = 0;       ///< admission order
     std::uint64_t enq_ns = 0;   ///< admit instant on the trace clock
     GraphSample prepared;
     /** Ghost-mode job: layers are exchange-synchronous, so the slices
@@ -76,6 +66,12 @@ PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
                              PoolConfig config)
     : model_(model),
       config_(config),
+      rules_{config.policy, config.easy_backfill,
+             config.aging_ms > 0.0
+                 ? static_cast<Tick>(std::max(1.0, config.aging_ms * 1e6))
+                 : 0,
+             config.enable_preemption, config.preempt_priority_gap},
+      epoch_(std::chrono::steady_clock::now()),
       pool_(model, engine_config, config.num_dies),
       metrics_(config.metrics
                    ? config.metrics
@@ -90,7 +86,8 @@ PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
       deadline_miss_ctr_(metrics_->counter("pool.deadline_misses_total")),
       preempt_ctr_(metrics_->counter("pool.preemptions_total")),
       active_dies_gauge_(metrics_->gauge("pool.active_dies")),
-      lateness_hist_(metrics_->histogram("pool.lateness_ms"))
+      lateness_hist_(metrics_->histogram("pool.lateness_ms")),
+      latency_hist_(metrics_->histogram("pool.latency_ms"))
 {
     // Fail fast: a malformed config must never reach die threads.
     config_.validate();
@@ -126,16 +123,54 @@ PoolScheduler::start()
     unpark_.notify_all();
 }
 
-std::size_t
-PoolScheduler::effective_active() const
+Tick
+PoolScheduler::ticks(std::chrono::steady_clock::time_point t) const
 {
-    // The autoscaler's cap, raised to the widest pending job so a
-    // gang wider than the shrunk pool can still start (scaling down
-    // must never deadlock admission-time clamped widths).
-    std::size_t cap = active_dies_;
-    for (const JobPtr &job : queue_)
-        cap = std::max(cap, job->remaining());
-    return std::min(cap, pool_.size());
+    return static_cast<Tick>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
+            .count());
+}
+
+PolicyDecision
+PoolScheduler::decide_now(const Job *urgent)
+{
+    queue_view_.clear();
+    std::size_t urgent_at = PolicyDecision::kNone;
+    for (const JobPtr &job : queue_) {
+        if (job.get() == urgent)
+            urgent_at = queue_view_.size();
+        QueuedJob q;
+        q.remaining = job->remaining();
+        q.width = job->results.size() - job->done_tasks;
+        q.started = job->dispatched_any;
+        q.priority = job->spec.priority;
+        q.admit = job->admit_tick;
+        q.deadline = job->deadline_tick;
+        q.longest_task = job->est_task;
+        queue_view_.push_back(q);
+    }
+    running_view_.clear();
+    running_dies_.clear();
+    for (std::size_t d = 0; d < running_.size(); ++d) {
+        const Running &r = running_[d];
+        if (!r.job)
+            continue;
+        RunningTask t;
+        t.priority = r.job->spec.priority;
+        t.deadline = r.job->deadline_tick;
+        t.finish = r.finish;
+        t.yielding = die_tokens_[d]->requested();
+        running_view_.push_back(t);
+        running_dies_.push_back(d);
+    }
+    PolicyInput in;
+    in.queue = queue_view_;
+    in.running = running_view_;
+    in.target = active_dies_;
+    in.num_dies = pool_.size();
+    in.now = ticks(std::chrono::steady_clock::now());
+    in.urgent = urgent_at;
+    return decide(rules_, in);
 }
 
 bool
@@ -144,123 +179,12 @@ PoolScheduler::try_pick(Dispatch &out)
     out.job.reset();
     if (queue_.empty())
         return false;
-    const std::size_t cap = effective_active();
-    if (tasks_running_ >= cap)
-        return false; // scaled down: leave the die parked
-    const std::size_t idle = cap - tasks_running_;
-
-    switch (config_.policy) {
-      case PoolPolicy::kSpaceShare: {
-        // Work-conserving: the queue only holds jobs with undispatched
-        // tasks, so the FIFO head always yields one. Later jobs
-        // backfill automatically once earlier ones are fully
-        // dispatched (and therefore popped).
-        out.job = queue_.front();
-        break;
-      }
-      case PoolPolicy::kFifoGang: {
-        // Jobs start strictly in order, each only when its full width
-        // is simultaneously free. A started job's remaining tasks go
-        // first; an unstarted head that does not fit blocks the scan
-        // (the policy's head-of-line cost) — unless EASY backfill can
-        // prove a later job ends before the head's reservation.
-        const Job *blocked_head = nullptr;
-        for (const JobPtr &job : queue_) {
-            if (job->dispatched_any) {
-                out.job = job;
-                break;
-            }
-            if (blocked_head == nullptr) {
-                if (idle >= job->remaining()) {
-                    out.job = job;
-                    break;
-                }
-                if (!config_.easy_backfill)
-                    return false;
-                blocked_head = job.get();
-                continue; // scan on for a backfill candidate
-            }
-            // Backfill candidate: must fit in the idle dies right now
-            // AND provably finish before the head's reservation. The
-            // reservation is when the (width - idle)-th soonest
-            // running-task finish frees enough dies; estimates
-            // missing anywhere -> no proof -> no backfill.
-            if (job->remaining() > idle ||
-                job->spec.estimated_task_cycles == 0)
-                continue;
-            std::vector<std::chrono::steady_clock::time_point> fins;
-            fins.reserve(running_.size());
-            bool all_known = true;
-            for (const Running &r : running_) {
-                if (!r.job)
-                    continue;
-                if (!r.has_est) {
-                    all_known = false;
-                    break;
-                }
-                fins.push_back(r.est_finish);
-            }
-            const std::size_t need = blocked_head->remaining() - idle;
-            if (!all_known || fins.size() < need)
-                return false; // reservation unknowable; plain gang
-            std::sort(fins.begin(), fins.end());
-            const auto reservation = fins[need - 1];
-            const auto now = std::chrono::steady_clock::now();
-            const double est_ms =
-                static_cast<double>(job->spec.estimated_task_cycles) /
-                (pool_.engine(0).config().clock_mhz * 1e3);
-            const auto est_end = now +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(est_ms));
-            if (est_end <= reservation) {
-                out.job = job;
-                break;
-            }
-        }
-        break;
-      }
-      case PoolPolicy::kPriority: {
-        auto now = std::chrono::steady_clock::now();
-        long best_eff = 0;
-        for (const JobPtr &job : queue_) {
-            long eff = job->priority;
-            if (config_.aging_ms > 0.0)
-                eff += static_cast<long>(
-                    ms_between(job->enqueued, now) / config_.aging_ms);
-            // Strict > keeps FIFO order among ties (queue_ is FIFO).
-            if (!out.job || eff > best_eff) {
-                out.job = job;
-                best_eff = eff;
-            }
-        }
-        break;
-      }
-      case PoolPolicy::kEdf: {
-        // Pure earliest-deadline order (ties FIFO by id — which is
-        // exactly kFifoGang when all deadlines are equal), with the
-        // gang width rule on unstarted jobs.
-        JobPtr best;
-        for (const JobPtr &job : queue_)
-            if (!best || job->abs_deadline < best->abs_deadline ||
-                (job->abs_deadline == best->abs_deadline &&
-                 job->id < best->id))
-                best = job;
-        if (best) {
-            if (best->dispatched_any || idle >= best->remaining())
-                out.job = best;
-            else
-                return false;
-        }
-        break;
-      }
-    }
-    if (!out.job)
-        return false;
-    if (!out.job->requeued.empty())
-        out.task = out.job->requeued.back();
-    else
-        out.task = out.job->next_task;
+    const PolicyDecision dec = decide_now(nullptr);
+    if (dec.pick == PolicyDecision::kNone)
+        return false; // blocked, or scaled down: leave the die parked
+    out.job = queue_[dec.pick];
+    out.task = out.job->requeued.empty() ? out.job->next_task
+                                         : out.job->requeued.back();
     return true;
 }
 
@@ -289,8 +213,9 @@ PoolScheduler::die_loop(std::size_t die)
         Job &job = *d.job;
         if (!job.dispatched_any) {
             job.dispatched_any = true;
-            queue_delay_hist_.record(ms_between(
-                job.enqueued, std::chrono::steady_clock::now()));
+            const auto start = std::chrono::steady_clock::now();
+            job.start_tick = ticks(start);
+            queue_delay_hist_.record(ms_between(job.enqueued, start));
             // The request's time-in-queue, on its own timeline.
             if (session && job.enq_ns != 0)
                 session->span(obs::Track::kPool, "queue-wait",
@@ -309,26 +234,14 @@ PoolScheduler::die_loop(std::size_t die)
                 std::find(queue_.begin(), queue_.end(), d.job));
             admit_.notify_one();
         }
-        // Record what this die runs (and when it should finish, if
-        // the submitter provided an estimate) — the inputs to EASY
-        // reservations and preemption victim selection.
-        {
-            Running &slot = running_[die];
-            slot.job = d.job;
-            slot.task = d.task;
-            slot.has_est = job.spec.estimated_task_cycles > 0;
-            if (slot.has_est) {
-                const double est_ms =
-                    static_cast<double>(
-                        job.spec.estimated_task_cycles) /
-                    (pool_.engine(die).config().clock_mhz * 1e3);
-                slot.est_finish = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            est_ms));
-            }
-        }
+        // Record what this die runs and when it should finish, if
+        // the submitter provided an estimate — the inputs to EASY
+        // reservations and preemption victim selection. A gang's
+        // tasks start together, so they share one finish estimate.
+        running_[die] = Running{
+            d.job, d.task,
+            job.est_task == kNoTick ? kNoTick
+                                    : job.start_tick + job.est_task};
         // Other idle dies may now have work (e.g. the rest of a
         // gang-started job's tasks).
         work_.notify_all();
@@ -356,48 +269,33 @@ PoolScheduler::die_loop(std::size_t die)
         PreemptToken &token = *die_tokens_[die];
         try {
             Engine &engine = pool_.engine(die);
+            RunOptions opts = job.opts;
+            GhostResumeState *resume = nullptr;
+            if (config_.enable_preemption) {
+                opts.preempt = &token;
+                resume = &job.ghost_resume;
+            }
             if (job.ghost) {
-                if (config_.enable_preemption) {
-                    RunOptions popts = job.opts;
-                    popts.preempt = &token;
-                    job.ghost_result = run_ghost_plan(
-                        model_, engine.config(),
-                        SampleRef(job.prepared),
-                        std::move(job.ghost_plan), popts, job.link,
-                        &job.ghost_resume, 1);
-                    if (job.ghost_resume.preempted) {
-                        preempted = true;
-                        job.ghost_plan =
-                            std::move(job.ghost_resume.plan);
-                    }
-                } else {
-                    job.ghost_result = run_ghost_plan(
-                        model_, engine.config(), job.prepared,
-                        std::move(job.ghost_plan), job.opts,
-                        job.link);
+                job.ghost_result = run_ghost_plan(
+                    model_, engine.config(), SampleRef(job.prepared),
+                    std::move(job.ghost_plan), opts, job.link, resume, 1);
+                if (job.ghost_resume.preempted) {
+                    preempted = true;
+                    job.ghost_plan = std::move(job.ghost_resume.plan);
                 }
             } else {
                 RunWorkspace &ws = pool_.workspace(die);
-                if (config_.enable_preemption) {
-                    RunOptions popts = job.opts;
-                    popts.preempt = &token;
-                    const GraphSample &g = job.plan.sharded
-                        ? job.plan.slices[d.task].sub
-                        : job.prepared;
-                    preempted =
-                        engine.run_resumable(
-                            SampleRef(g), popts, ws,
-                            job.task_ckpts[d.task], result,
-                            std::size_t(-1),
-                            1) == SegmentOutcome::kPreempted;
-                } else {
-                    result = job.plan.sharded
-                        ? engine.run_prepared(
-                              job.plan.slices[d.task].sub, job.opts,
-                              ws)
-                        : engine.run_prepared(job.prepared, job.opts,
-                                              ws);
-                }
+                const GraphSample &g = job.plan.sharded
+                    ? job.plan.slices[d.task].sub
+                    : job.prepared;
+                if (resume)
+                    preempted = engine.run_resumable(
+                                    SampleRef(g), opts, ws,
+                                    job.task_ckpts[d.task], result,
+                                    std::size_t(-1), 1) ==
+                        SegmentOutcome::kPreempted;
+                else
+                    result = engine.run_prepared(g, opts, ws);
             }
         } catch (...) {
             ok = false;
@@ -406,6 +304,13 @@ PoolScheduler::die_loop(std::size_t die)
         token.reset(); // never leak a request into the next lease
         pool_.release(die);
         if (session) {
+            // Drop the engine's cycle-domain unit trace onto the same
+            // timeline, anchored at the instant this lease began.
+            if (ok && !preempted && !result.stats.trace.empty())
+                session->add_cycle_trace(
+                    result.stats.trace,
+                    obs::CycleClockMap{lease_start_ns,
+                                       result.stats.clock_mhz});
             char nm[48];
             if (job.ghost)
                 std::snprintf(nm, sizeof nm,
@@ -438,7 +343,11 @@ PoolScheduler::die_loop(std::size_t die)
             job.requeued.push_back(d.task);
             if (std::find(queue_.begin(), queue_.end(), d.job) ==
                 queue_.end())
-                queue_.push_back(d.job);
+                queue_.insert(std::find_if(queue_.begin(), queue_.end(),
+                                           [&](const JobPtr &other) {
+                                               return other->id > job.id;
+                                           }),
+                              d.job);
             queue_depth_gauge_.set(static_cast<double>(queue_.size()));
             work_.notify_all();
             continue;
@@ -480,15 +389,16 @@ PoolScheduler::finalize(const JobPtr &jobp)
 
     // Count the completion BEFORE fulfilling the promise, so a caller
     // that checks stats() right after future.get() sees it.
+    const double latency_ms =
+        ms_between(job.enqueued, std::chrono::steady_clock::now());
+    latency_hist_.record(latency_ms);
     completed_ctr_.add(ok);
     failed_ctr_.add(!ok);
     if (job.spec.deadline_ms > 0.0) {
         // Lateness vs the admission-relative deadline, clamped at 0
         // so the histogram's quantiles read "how late are the late
         // ones" over ALL deadline jobs.
-        const double lateness =
-            ms_between(job.enqueued, std::chrono::steady_clock::now()) -
-            job.spec.deadline_ms;
+        const double lateness = latency_ms - job.spec.deadline_ms;
         lateness_hist_.record(std::max(0.0, lateness));
         if (lateness > 0.0)
             deadline_miss_ctr_.add(1);
@@ -550,62 +460,32 @@ PoolScheduler::admit(const JobPtr &job)
         ++path.submitted;
         job->id = next_job_id_++;
         job->enqueued = std::chrono::steady_clock::now();
+        job->admit_tick = ticks(job->enqueued);
         if (job->spec.deadline_ms > 0.0)
-            job->abs_deadline = job->enqueued +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        job->spec.deadline_ms));
+            job->deadline_tick = job->admit_tick +
+                static_cast<Tick>(job->spec.deadline_ms * 1e6);
+        if (job->spec.estimated_task_cycles > 0)
+            job->est_task = static_cast<Tick>(
+                static_cast<double>(job->spec.estimated_task_cycles) *
+                1e3 / pool_.engine(0).config().clock_mhz);
         if (obs::TraceSession *session = obs::TraceSession::current())
             job->enq_ns = session->now_ns();
         queue_.push_back(job);
         jobs_ctr_.add(1);
         queue_depth_gauge_.set(static_cast<double>(queue_.size()));
-        maybe_preempt(job);
+        maybe_preempt(*job);
     }
     work_.notify_all();
 }
 
 void
-PoolScheduler::maybe_preempt(const JobPtr &urgent)
+PoolScheduler::maybe_preempt(const Job &urgent)
 {
-    if (!config_.enable_preemption)
+    if (!rules_.preemption)
         return;
-    if (config_.policy != PoolPolicy::kPriority &&
-        config_.policy != PoolPolicy::kEdf)
-        return;
-    if (tasks_running_ < effective_active())
-        return; // a die is (about to be) free; no need to evict
-    // Evict enough of the least-urgent running tasks to fit the
-    // urgent job's width — each victim strictly less urgent than the
-    // newcomer, so preemption can only shorten its wait.
-    std::size_t want = urgent->remaining();
-    std::vector<std::size_t> victims;
-    for (std::size_t d = 0; d < running_.size(); ++d)
-        if (running_[d].job)
-            victims.push_back(d);
-    const bool edf = config_.policy == PoolPolicy::kEdf;
-    std::sort(victims.begin(), victims.end(),
-              [&](std::size_t a, std::size_t b)
-                  FLOWGNN_REQUIRES(mutex_) {
-                      const Job &ja = *running_[a].job;
-                      const Job &jb = *running_[b].job;
-                      return edf ? ja.abs_deadline > jb.abs_deadline
-                                 : ja.priority < jb.priority;
-                  });
-    for (std::size_t d : victims) {
-        if (want == 0)
-            break;
-        const Job &victim = *running_[d].job;
-        const bool more_urgent = edf
-            ? urgent->abs_deadline < victim.abs_deadline
-            : urgent->priority - victim.priority >=
-                  config_.preempt_priority_gap;
-        if (!more_urgent)
-            break; // sorted: nobody further is less urgent
-        die_tokens_[d]->request();
-        --want;
-    }
+    // Victims yield at their next layer boundary and requeue.
+    for (std::size_t v : decide_now(&urgent).victims)
+        die_tokens_[running_dies_[v]]->request();
 }
 
 std::future<RunResult>
@@ -614,7 +494,6 @@ PoolScheduler::enqueue_fast(GraphSample sample, const RunOptions &opts,
 {
     opts.validate();
     auto job = std::make_shared<Job>();
-    job->priority = spec.priority;
     job->spec = spec;
     job->opts = opts;
     // Preparing on the submitting thread keeps dies lease-time pure
@@ -694,7 +573,6 @@ PoolScheduler::make_sharded_job(GraphSample sample,
     job->sharded_path = true;
     job->deliver = deliver_sharded ? Job::Deliver::kSharded
                                    : Job::Deliver::kRun;
-    job->priority = spec.priority;
     job->spec = spec;
     job->opts = opts;
     job->link = clamped.link;
@@ -836,6 +714,10 @@ PoolScheduler::stats() const
     out.queue_delay_p50_ms = delays.quantile(0.50);
     out.queue_delay_p95_ms = delays.quantile(0.95);
     out.queue_delay_p99_ms = delays.quantile(0.99);
+    obs::HistogramSnapshot latency = latency_hist_.snapshot();
+    out.latency_p50_ms = latency.quantile(0.50);
+    out.latency_p95_ms = latency.quantile(0.95);
+    out.latency_p99_ms = latency.quantile(0.99);
     out.uptime_ms = pool_.uptime_ms();
     out.peak_busy_dies = pool_.peak_busy();
     out.dies = pool_.die_stats();

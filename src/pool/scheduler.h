@@ -1,7 +1,7 @@
 /**
  * @file
  * flowgnn::pool — PoolScheduler: admits jobs and schedules their
- * shard tasks onto a DiePool.
+ * shard tasks onto a DiePool. It is the one way to serve requests.
  *
  * A job is one graph: either a whole-graph job (one die, the small
  * graph fast path) or a sharded job (a ShardPlan of P <= D slices).
@@ -13,35 +13,19 @@
  * cycle-stepped engine and the merge is a pure function of the
  * per-slice results.
  *
- * Policies:
- *  - kFifoGang:  jobs start strictly in submission order, and a job
- *    starts only when its full width in dies is free at once (gang
- *    scheduling). A wide job at the head blocks everything behind it,
- *    idling dies — the baseline batch-scheduler behaviour.
- *  - kSpaceShare: work-conserving space sharing. Tasks dispatch in
- *    job-FIFO order as dies free up; when the head job has every task
- *    running, later jobs backfill the remaining dies. A die never
- *    idles while any task is pending.
- *  - kPriority:  like kSpaceShare but the next task comes from the
- *    job with the highest effective priority, which ages upward the
- *    longer the job waits (no starvation); ties break FIFO.
- *  - kEdf: gang starts in earliest-absolute-deadline order (admit
- *    time + JobSpec::deadline_ms); with equal deadlines everywhere it
- *    degenerates to kFifoGang exactly. Lateness and misses are
- *    reported per job through pool.lateness_ms /
- *    pool.deadline_misses_total whatever the policy.
- *
- * kFifoGang optionally adds EASY backfill (PoolConfig::easy_backfill):
- * a blocked head gang job takes a start-time reservation computed from
- * running tasks' estimated finishes, and later jobs may start out of
- * order only when their estimated runtime fits entirely before that
- * reservation — backfill can fill idle dies but provably never delays
- * the head. kPriority/kEdf optionally preempt running tasks at
- * message-passing layer boundaries (PoolConfig::enable_preemption):
- * the victim checkpoints, requeues, and later resumes bit-identically
+ * Dispatch follows PoolConfig::policy (kFifoGang, kSpaceShare,
+ * kPriority, kEdf, with EASY backfill for kFifoGang): every rule, the
+ * active-die cap and preemption victim choice are pool/policy.h's
+ * decide(), the same core the cycle-domain simulator
+ * (pool/schedule_sim.h) replays. Deadline lateness and misses are
+ * reported per job through pool.lateness_ms /
+ * pool.deadline_misses_total whatever the policy. kPriority/kEdf
+ * optionally preempt running tasks at message-passing layer boundaries
+ * (PoolConfig::enable_preemption): the victim checkpoints, requeues
+ * at its admission position, and later resumes bit-identically
  * (Engine::run_resumable).
  *
- * Admission mirrors flowgnn::serve end to end: the pending-job queue
+ * Admission applies backpressure end to end: the pending-job queue
  * is bounded, and a full queue either blocks the producer
  * (AdmissionPolicy::kBlock) or sheds the job (kReject +
  * ServiceOverloaded). Planning (partitioning + halo extraction) runs
@@ -55,31 +39,33 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "core/sync.h"
 #include "obs/metrics.h"
 #include "pool/die_pool.h"
-#include "serve/service.h"
+#include "pool/policy.h"
 #include "shard/shard_plan.h"
 
 namespace flowgnn {
 
-/** How pending tasks are matched to free dies. */
-enum class PoolPolicy {
-    kFifoGang,
-    kSpaceShare,
-    kPriority,
-    /** Earliest absolute deadline first (admit time + deadline_ms;
-     * no-deadline jobs sort last), ties broken FIFO — so with equal
-     * deadlines on every job kEdf IS kFifoGang. Gang width rule:
-     * the earliest-deadline job starts only when its full width is
-     * free at once. */
-    kEdf,
+/** Thrown by submit() when the pending-job queue is full under
+ * AdmissionPolicy::kReject. */
+class ServiceOverloaded : public std::runtime_error
+{
+  public:
+    ServiceOverloaded()
+        : std::runtime_error("PoolScheduler: submission queue full")
+    {
+    }
 };
 
-/** Human-readable policy name. */
-const char *pool_policy_name(PoolPolicy policy);
+/** What a full pending-job queue does to the next submit(). */
+enum class AdmissionPolicy {
+    kBlock,  ///< exert backpressure: submit() blocks until space frees
+    kReject, ///< shed load: submit() throws ServiceOverloaded
+};
 
 /**
  * Per-job scheduling parameters (everything about a job the scheduler
@@ -101,9 +87,10 @@ struct JobSpec {
      * Caller's estimate of one task's engine cycles (a slice for
      * sharded jobs, the whole run otherwise) — the planted knowledge
      * EASY backfill needs to prove a backfilled job cannot delay the
-     * reserved head. 0 = unknown: the job never backfills and, while
-     * it runs, blocks reservations from being computed (conservative
-     * on both sides).
+     * reserved head. 0 = unknown: the job backfills only into dies the
+     * head will not need (the extra-dies rule) and, while it runs,
+     * blocks reservations from being computed (conservative on both
+     * sides).
      */
     std::uint64_t estimated_task_cycles = 0;
 };
@@ -128,10 +115,11 @@ struct PoolConfig {
      * start, it takes a start-time reservation (the instant enough
      * running tasks' estimated finishes free its width) and later
      * jobs may jump it only when their estimated runtime provably
-     * ends before that reservation — the head can never be delayed.
-     * Needs JobSpec::estimated_task_cycles on the running and
-     * backfilling jobs; without estimates the policy degrades to
-     * plain gang (no backfill), never to a delayed head.
+     * ends before that reservation, or when they fit in the dies the
+     * head will not need even then — the head can never be delayed.
+     * Needs JobSpec::estimated_task_cycles on the running jobs;
+     * without estimates the policy degrades to plain gang (no
+     * backfill), never to a delayed head.
      */
     bool easy_backfill = true;
     /**
@@ -193,6 +181,11 @@ struct PoolStats {
     double queue_delay_p50_ms = 0.0;
     double queue_delay_p95_ms = 0.0;
     double queue_delay_p99_ms = 0.0;
+    /** Submit-to-completion wall latency percentiles (ms), failed jobs
+     * included, from the pool.latency_ms histogram (same accuracy). */
+    double latency_p50_ms = 0.0;
+    double latency_p95_ms = 0.0;
+    double latency_p99_ms = 0.0;
     /** Highest number of simultaneously busy dies observed. */
     std::size_t peak_busy_dies = 0;
     /** Concurrency cap set by set_active_dies (<= dies.size()). */
@@ -307,6 +300,7 @@ class PoolScheduler
     std::size_t active_dies() const;
 
     std::size_t num_dies() const { return pool_.size(); }
+    std::size_t queue_capacity() const { return config_.queue_capacity; }
     const DiePool &pool() const { return pool_; }
     /** The registry pool.* metrics land in (the config's, or the
      * private one) — what the Autoscaler snapshots. */
@@ -332,13 +326,19 @@ class PoolScheduler
                             bool deliver_sharded);
     void admit(const JobPtr &job);
     void die_loop(std::size_t die);
+    /** The policy core on the current queue and dies, in ns ticks;
+     * `urgent` (queued) asks for its preemption victims too. */
+    PolicyDecision decide_now(const Job *urgent) FLOWGNN_REQUIRES(mutex_);
     bool try_pick(Dispatch &out) FLOWGNN_REQUIRES(mutex_);
+    void maybe_preempt(const Job &urgent) FLOWGNN_REQUIRES(mutex_);
     void finalize(const JobPtr &job);
-    std::size_t effective_active() const FLOWGNN_REQUIRES(mutex_);
-    void maybe_preempt(const JobPtr &urgent) FLOWGNN_REQUIRES(mutex_);
+    /** Nanoseconds since the scheduler's epoch: the policy tick. */
+    Tick ticks(std::chrono::steady_clock::time_point t) const;
 
     const Model &model_;
     PoolConfig config_;
+    PolicyRules rules_;
+    std::chrono::steady_clock::time_point epoch_;
     DiePool pool_;
     std::vector<std::thread> die_threads_;
 
@@ -350,7 +350,8 @@ class PoolScheduler
     bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
     bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< no new submissions
     bool shutdown_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< dies may exit
-    /** Jobs with undispatched tasks, FIFO. */
+    /** Jobs with undispatched tasks, in admission order (a preempted
+     * job is requeued at its admission position). */
     std::deque<JobPtr> queue_ FLOWGNN_GUARDED_BY(mutex_);
     std::size_t tasks_running_ FLOWGNN_GUARDED_BY(mutex_) = 0;
     /** Concurrency cap (autoscaler actuator); see set_active_dies. */
@@ -360,10 +361,14 @@ class PoolScheduler
     struct Running {
         JobPtr job;
         std::size_t task = 0;
-        bool has_est = false;
-        std::chrono::steady_clock::time_point est_finish{};
+        Tick finish = kNoTick;
     };
     std::vector<Running> running_ FLOWGNN_GUARDED_BY(mutex_);
+    /** Reused policy-core views (running_dies_ maps a running-view
+     * index back to its die). */
+    std::vector<QueuedJob> queue_view_ FLOWGNN_GUARDED_BY(mutex_);
+    std::vector<RunningTask> running_view_ FLOWGNN_GUARDED_BY(mutex_);
+    std::vector<std::size_t> running_dies_ FLOWGNN_GUARDED_BY(mutex_);
     /** Per-die preemption flags (atomic; requested under mutex_ by
      * maybe_preempt, polled lock-free by the engines). */
     std::vector<std::unique_ptr<PreemptToken>> die_tokens_;
@@ -388,6 +393,7 @@ class PoolScheduler
     obs::Counter &preempt_ctr_;
     obs::Gauge &active_dies_gauge_;
     obs::Histogram &lateness_hist_;
+    obs::Histogram &latency_hist_;
 };
 
 } // namespace flowgnn

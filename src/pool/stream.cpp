@@ -1,4 +1,4 @@
-#include "serve/stream.h"
+#include "pool/stream.h"
 
 #include <algorithm>
 #include <deque>
@@ -14,7 +14,7 @@ StreamRunner::run(SampleStream &stream, std::size_t count) const
     if (count == 0)
         return out;
 
-    service_.start(); // a paused service would never consume the queue
+    pool_.start(); // a paused pool would never consume the queue
 
     // Two-stage pipeline timeline: the DMA engine loads graphs
     // back-to-back; the kernel starts graph i once both its load and
@@ -39,19 +39,19 @@ StreamRunner::run(SampleStream &stream, std::size_t count) const
     };
 
     // Keep at most queue_capacity requests outstanding: submission
-    // then never finds the queue full, so the runner works under
-    // either admission policy (and never materializes `count` futures
+    // then never finds the pending queue full, so the runner works
+    // under either admission policy (and never materializes `count` futures
     // for a long stream). Results are consumed in submission order,
     // which is what the timeline reconstruction needs.
     const std::size_t max_inflight =
-        std::max<std::size_t>(1, service_.queue_capacity());
+        std::max<std::size_t>(1, pool_.queue_capacity());
     std::deque<std::future<RunResult>> inflight;
     for (std::size_t i = 0; i < count; ++i) {
         if (inflight.size() >= max_inflight) {
             consume(std::move(inflight.front()));
             inflight.pop_front();
         }
-        inflight.push_back(service_.submit(stream.next()));
+        inflight.push_back(pool_.submit(stream.next()));
     }
     while (!inflight.empty()) {
         consume(std::move(inflight.front()));

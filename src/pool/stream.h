@@ -10,11 +10,11 @@
  * graph. Per-graph latency is unchanged (a single graph still pays
  * load + compute); only throughput improves.
  */
-#ifndef FLOWGNN_SERVE_STREAM_H
-#define FLOWGNN_SERVE_STREAM_H
+#ifndef FLOWGNN_POOL_STREAM_H
+#define FLOWGNN_POOL_STREAM_H
 
 #include "datasets/dataset.h"
-#include "serve/service.h"
+#include "pool/scheduler.h"
 
 namespace flowgnn {
 
@@ -51,28 +51,26 @@ struct StreamRunStats {
 };
 
 /**
- * Runs a sample stream through an inference service with cross-graph
+ * Runs a sample stream through a die pool with cross-graph
  * load/compute overlap (two-stage pipeline: DMA, then kernel).
  *
  * Samples are submitted asynchronously and the board-level timeline is
  * reconstructed from the per-run stats in submission order, so the
- * modeled cycle counts are bit-identical however many replicas the
- * service runs.
+ * modeled cycle counts are bit-identical however many dies the pool
+ * runs.
  */
 class StreamRunner
 {
   public:
-    explicit StreamRunner(InferenceService &service) : service_(service)
-    {
-    }
+    explicit StreamRunner(PoolScheduler &pool) : pool_(pool) {}
 
     /** Processes `count` consecutive samples from the stream. */
     StreamRunStats run(SampleStream &stream, std::size_t count) const;
 
   private:
-    InferenceService &service_;
+    PoolScheduler &pool_;
 };
 
 } // namespace flowgnn
 
-#endif // FLOWGNN_SERVE_STREAM_H
+#endif // FLOWGNN_POOL_STREAM_H

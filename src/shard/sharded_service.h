@@ -1,6 +1,6 @@
 /**
  * @file
- * ShardedService: the serve-layer entry point that makes graph size an
+ * ShardedService: the serving entry point that makes graph size an
  * operational detail. Every submission routes into one flowgnn::pool
  * die pool: small graphs become one-die jobs (many in flight at once),
  * graphs at or above the shard threshold become multi-slice sharded

@@ -242,5 +242,49 @@ TEST(EngineTiming, SingleNodeGraphCompletes)
     }
 }
 
+
+// ---- Workspace reuse and the configured clock -------------------------
+
+TEST(RunWorkspace, ReuseAcrossGraphsMatchesFreshRuns)
+{
+    // A pool die reuses one workspace for every graph; the results
+    // must match fresh-workspace runs exactly for every model family
+    // (GAT exercises the combine path, PNA the multi-aggregator
+    // finalize, DGN the directional field).
+    GraphSample probe = make_sample(DatasetKind::kMolHiv, 0);
+    for (ModelKind kind : kPaperModels) {
+        Model m =
+            make_model(kind, probe.node_dim(), probe.edge_dim());
+        Engine engine(m, {});
+        RunWorkspace reused;
+        for (std::size_t i = 0; i < 6; ++i) {
+            GraphSample s = make_sample(DatasetKind::kMolHiv, i);
+            RunResult warm = engine.run(s, RunOptions{}, reused);
+            RunResult cold = engine.run(s);
+            EXPECT_EQ(warm.prediction, cold.prediction)
+                << model_name(kind) << " graph " << i;
+            EXPECT_TRUE(warm.embeddings == cold.embeddings)
+                << model_name(kind) << " graph " << i;
+            EXPECT_EQ(warm.stats.total_cycles, cold.stats.total_cycles)
+                << model_name(kind) << " graph " << i;
+        }
+    }
+}
+
+TEST(RunStats, LatencyUsesConfiguredClock)
+{
+    GraphSample s = make_sample(DatasetKind::kMolHiv, 0);
+    Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
+    EngineConfig cfg;
+    cfg.clock_mhz = 150.0; // half the paper clock -> double the time
+    RunResult half = Engine(m, cfg).run(s);
+    RunResult full = Engine(m, {}).run(s);
+    ASSERT_EQ(half.stats.total_cycles, full.stats.total_cycles);
+    EXPECT_DOUBLE_EQ(half.stats.clock_mhz, 150.0);
+    EXPECT_DOUBLE_EQ(half.latency_ms(), 2.0 * full.latency_ms());
+    // Explicit what-if clock still available.
+    EXPECT_DOUBLE_EQ(half.latency_ms(300.0), full.latency_ms());
+}
+
 } // namespace
 } // namespace flowgnn

@@ -10,7 +10,6 @@
 #include <cmath>
 
 #include "core/engine.h"
-#include "serve/stream.h"
 #include "datasets/dataset.h"
 #include "tensor/ops.h"
 

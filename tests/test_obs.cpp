@@ -394,7 +394,7 @@ TEST(ObsRegistry, PrometheusExport)
 TEST(ObsTrace, DisabledSessionRecordsNothing)
 {
     ASSERT_EQ(TraceSession::current(), nullptr);
-    { Span span(Track::kServe, "noop"); }
+    { Span span(Track::kPool, "noop"); }
     TraceSession session;
     EXPECT_EQ(session.recorded(), 0u); // never installed
 }

@@ -5,8 +5,9 @@
  * priority aging), pool scheduling correctness (fast-path and sharded
  * jobs bit-identical to isolated runs under every policy), the
  * concurrency acceptance bar (two P=2 jobs fill a D=4 pool), admission
- * control, and the mixed small/sharded stress run through the pooled
- * ShardedService.
+ * control, fail-fast construction, per-run options, latency telemetry,
+ * a failure inside one die failing only its own job, and the mixed
+ * small/sharded stress run through the pooled ShardedService.
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <thread>
 
+#include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "pool/schedule_sim.h"
 #include "shard/sharded_engine.h"
@@ -463,6 +465,185 @@ TEST(PoolScheduler, QueueDelayTelemetryRecorded)
     ASSERT_EQ(st.dies.size(), 1u);
     EXPECT_EQ(st.dies[0].leases, 1u);
     EXPECT_GT(st.dies[0].busy_ms, 0.0);
+}
+
+TEST(PoolScheduler, ConstructionFailsFastOnBadConfig)
+{
+    GraphSample s = make_sample(DatasetKind::kMolHiv, 0);
+    Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
+
+    EngineConfig bad_engine;
+    bad_engine.p_node = 0;
+    EXPECT_THROW(PoolScheduler(m, bad_engine), std::invalid_argument);
+
+    PoolConfig no_dies;
+    no_dies.num_dies = 0;
+    EXPECT_THROW(PoolScheduler(m, {}, no_dies), std::invalid_argument);
+
+    PoolConfig bad_opts;
+    bad_opts.run_options.emulate_fixed_point = true;
+    bad_opts.run_options.fixed_point = {8, 8};
+    EXPECT_THROW(PoolScheduler(m, {}, bad_opts), std::invalid_argument);
+}
+
+TEST(PoolScheduler, PerRunOptionsOverridePoolDefaults)
+{
+    GraphSample s = make_sample(DatasetKind::kMolHiv, 3);
+    Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
+    PoolScheduler scheduler(m);
+
+    RunOptions traced;
+    traced.capture_trace = true;
+    RunResult with_trace = scheduler.submit(s, traced).get();
+    RunResult without = scheduler.submit(s).get();
+    EXPECT_FALSE(with_trace.stats.trace.empty());
+    EXPECT_TRUE(without.stats.trace.empty());
+    // Same answers either way.
+    EXPECT_EQ(with_trace.prediction, without.prediction);
+}
+
+TEST(PoolScheduler, StatsTelemetryIsConsistent)
+{
+    GraphSample probe = make_sample(DatasetKind::kMolHiv, 0);
+    Model m =
+        make_model(ModelKind::kGin, probe.node_dim(), probe.edge_dim());
+
+    PoolConfig pool;
+    pool.num_dies = 2;
+    PoolScheduler scheduler(m, {}, pool);
+    SampleStream stream(DatasetKind::kMolHiv, 32);
+    std::vector<std::future<RunResult>> futures;
+    for (std::size_t i = 0; i < 32; ++i)
+        futures.push_back(scheduler.submit(stream.next()));
+    for (auto &f : futures)
+        f.get();
+
+    PoolStats st = scheduler.stats();
+    EXPECT_EQ(st.fast.submitted, 32u);
+    EXPECT_EQ(st.fast.completed, 32u);
+    EXPECT_EQ(st.fast.failed, 0u);
+    EXPECT_GT(st.uptime_ms, 0.0);
+    EXPECT_GT(st.latency_p50_ms, 0.0);
+    EXPECT_LE(st.latency_p50_ms, st.latency_p95_ms);
+    EXPECT_LE(st.latency_p95_ms, st.latency_p99_ms);
+    EXPECT_GE(st.latency_p99_ms, st.queue_delay_p99_ms)
+        << "a job's latency includes its queueing delay";
+    EXPECT_EQ(scheduler.metrics()->snapshot().histograms.at(
+                  "pool.latency_ms").count,
+              32u);
+    ASSERT_EQ(st.dies.size(), 2u);
+    std::size_t leases = 0;
+    for (const DieStats &d : st.dies)
+        leases += d.leases;
+    EXPECT_EQ(leases, 32u);
+}
+
+TEST(PoolScheduler, ConcurrentRepliesBitIdenticalToSequential)
+{
+    // A multi-die pool processing a 500-graph stream must reproduce a
+    // sequential Engine::run loop exactly, bit for bit.
+    constexpr std::size_t kGraphs = 500;
+    GraphSample probe = make_sample(DatasetKind::kMolHiv, 0);
+    Model m =
+        make_model(ModelKind::kGin, probe.node_dim(), probe.edge_dim());
+
+    Engine engine(m, {});
+    RunWorkspace workspace;
+    SampleStream sequential(DatasetKind::kMolHiv, kGraphs);
+    std::vector<RunResult> expected;
+    expected.reserve(kGraphs);
+    for (std::size_t i = 0; i < kGraphs; ++i)
+        expected.push_back(
+            engine.run(sequential.next(), RunOptions{}, workspace));
+
+    PoolConfig pool;
+    pool.num_dies = 3;
+    PoolScheduler scheduler(m, {}, pool);
+    SampleStream stream(DatasetKind::kMolHiv, kGraphs);
+    std::vector<std::future<RunResult>> futures;
+    futures.reserve(kGraphs);
+    for (std::size_t i = 0; i < kGraphs; ++i)
+        futures.push_back(scheduler.submit(stream.next()));
+
+    for (std::size_t i = 0; i < kGraphs; ++i) {
+        RunResult got = futures[i].get();
+        EXPECT_EQ(got.prediction, expected[i].prediction) << i;
+        EXPECT_TRUE(got.embeddings == expected[i].embeddings) << i;
+        EXPECT_EQ(got.stats.total_cycles, expected[i].stats.total_cycles)
+            << i;
+    }
+    PoolStats st = scheduler.stats();
+    EXPECT_EQ(st.fast.completed, kGraphs);
+    EXPECT_EQ(st.fast.failed, 0u);
+}
+
+// ---- Failures inside a die ---------------------------------------------
+
+TEST(PoolScheduler, DieFailureFailsOnlyItsOwnJob)
+{
+    // A sample whose node_dim (8) does not match the model (16) passes
+    // prepare() and consistent() on the submitting thread, then throws
+    // from Model::check_sample on the die. Among good jobs, under gang
+    // and space-share, as a one-die job and as a sharded P=2 job: only
+    // its future throws, every other job stays bit-identical to
+    // Engine::run, exactly one failure is counted on its path, the
+    // leases come back, and drain() returns.
+    Model model = make_model(ModelKind::kGcn16, 16, 0);
+    EngineConfig cfg;
+    cfg.p_node = 1;
+    const GraphSample bad = make_random_sample(
+        make_ring_lattice(600, 2), 8, 0, 0xBAD);
+    ASSERT_TRUE(model.prepare(bad).consistent());
+    std::vector<GraphSample> good;
+    for (int i = 0; i < 6; ++i)
+        good.push_back(make_random_sample(
+            make_ring_lattice(200 + 50 * i, 2), 16, 0, 0x600 + i));
+    Engine reference(model, cfg);
+
+    for (PoolPolicy policy :
+         {PoolPolicy::kSpaceShare, PoolPolicy::kFifoGang}) {
+        for (bool sharded : {false, true}) {
+            SCOPED_TRACE(std::string(pool_policy_name(policy)) +
+                         (sharded ? " sharded" : " one-die"));
+            PoolConfig pool;
+            pool.num_dies = 2;
+            pool.policy = policy;
+            pool.start_paused = true;
+            PoolScheduler scheduler(model, cfg, pool);
+
+            std::vector<std::future<RunResult>> fs;
+            for (int i = 0; i < 3; ++i)
+                fs.push_back(scheduler.submit(good[i]));
+            ShardConfig two;
+            two.num_shards = 2;
+            std::future<RunResult> fbad = sharded
+                ? scheduler.submit_sharded_as_run(bad, two, RunOptions{})
+                : scheduler.submit(bad);
+            for (int i = 3; i < 6; ++i)
+                fs.push_back(scheduler.submit(good[i]));
+            scheduler.drain();
+
+            EXPECT_THROW(fbad.get(), std::invalid_argument);
+            for (int i = 0; i < 6; ++i) {
+                RunResult got = fs[i].get();
+                RunResult want = reference.run(good[i]);
+                EXPECT_TRUE(got.embeddings == want.embeddings) << i;
+                EXPECT_EQ(got.prediction, want.prediction) << i;
+                EXPECT_EQ(got.stats.total_cycles, want.stats.total_cycles)
+                    << i;
+            }
+            PoolStats st = scheduler.stats();
+            EXPECT_EQ(st.fast.completed, 6u);
+            EXPECT_EQ(st.fast.failed, sharded ? 0u : 1u);
+            EXPECT_EQ(st.sharded.failed, sharded ? 1u : 0u);
+            EXPECT_EQ(st.sharded.completed, 0u);
+            EXPECT_EQ(scheduler.metrics()->snapshot().counters.at(
+                          "pool.failed_total"),
+                      1u);
+            EXPECT_EQ(scheduler.pool().busy(), 0u);
+            EXPECT_EQ(st.tasks_running, 0u);
+        }
+    }
 }
 
 // ---- Mixed concurrent workloads through the pooled service -------------

@@ -14,17 +14,22 @@
  *  - the synthetic open-loop arrival generator's determinism + shape;
  *  - measured-occupancy pool energy against hand-computed traces;
  *  - the live pool: deadline metrics, JobSpec admission, elastic
- *    set_active_dies, live preemption bit-identity, and the
- *    metrics-driven Autoscaler shrinking an idle pool.
+ *    set_active_dies, live preemption bit-identity, live EASY backfill
+ *    by both rules, and the metrics-driven Autoscaler shrinking an
+ *    idle pool.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/engine.h"
 #include "graph/generators.h"
+#include "obs/trace_session.h"
 #include "pool/arrivals.h"
 #include "pool/autoscaler.h"
 #include "pool/pool_energy.h"
@@ -474,6 +479,67 @@ TEST(PoolEnergy, GangIdleHolesCostMoreThanSpaceShare)
         << "identical work, identical active energy";
 }
 
+TEST(PoolEnergy, ElasticPoolChargesIdleOnlyOnProvisionedDies)
+{
+    // The AutoscalerTimelinePinnedOnBurst schedule: an 8-die pool
+    // capped at 2 dies on [0, 100), 4 on [100, 200) and 6 on
+    // [200, 700), running nine 300-cycle jobs. By hand:
+    //   provisioned = 2*100 + 4*100 + 6*500 = 3600 die-cycles
+    //   busy        = 9*300                 = 2700
+    //   idle        = 3600 - 2700           =  900
+    //   parked      = 8*700 - 3600          = 2000
+    std::vector<SimJob> trace(9, SimJob{{300}, 0, 0});
+    AutoscalerConfig cfg;
+    cfg.min_dies = 1;
+    cfg.max_dies = 8;
+    cfg.step_up = 2;
+    cfg.step_down = 1;
+    cfg.cooldown_windows = 0;
+    cfg.scale_up_queue_per_die = 1.0;
+    cfg.scale_down_util = 0.5;
+    AutoscalerPolicy policy(cfg, /*initial=*/2);
+    SimOptions opt;
+    opt.num_dies = 8;
+    opt.policy = PoolPolicy::kSpaceShare;
+    opt.autoscaler = &policy;
+    opt.window_cycles = 100;
+    SimResult r = simulate_pool_schedule(trace, opt);
+    ASSERT_EQ(r.makespan, 700u);
+
+    const std::uint64_t provisioned = 3600, idle = 900, parked = 2000;
+    std::uint64_t busy = 0;
+    for (std::uint64_t b : r.die_busy)
+        busy += b;
+    EXPECT_EQ(provisioned_die_cycles(r), provisioned);
+    EXPECT_EQ(busy, 2700u);
+    EXPECT_EQ(busy + idle + parked, 8 * r.makespan);
+
+    // At 1 MHz a cycle is 1 us: 0.9 ms idle, 2.7 ms busy.
+    const double idle_w = platform_idle_power_w(Platform::kFpga);
+    const double full_w = platform_power_w(Platform::kFpga);
+    MultiDieEnergy e = pool_schedule_energy(r, /*clock_mhz=*/1.0);
+    EXPECT_DOUBLE_EQ(e.idle_mj, idle_w * 0.9);
+    EXPECT_NEAR(e.busy_mj, full_w * 2.7, 1e-9);
+    EXPECT_DOUBLE_EQ(e.compute_mj, e.busy_mj + e.idle_mj);
+    // Die-time conservation read back from the energy terms.
+    EXPECT_NEAR(e.busy_mj / full_w + e.idle_mj / idle_w + 2.0,
+                8 * 0.7, 1e-9);
+
+    // Without an autoscaler every die is provisioned for the whole
+    // makespan, exactly as multi_die_energy charges it.
+    SimResult fixed =
+        simulate_pool_schedule(trace, 8, PoolPolicy::kSpaceShare);
+    EXPECT_EQ(provisioned_die_cycles(fixed), 8 * fixed.makespan);
+    std::vector<double> busy_ms;
+    for (std::uint64_t b : fixed.die_busy)
+        busy_ms.push_back(static_cast<double>(b) / 1e3);
+    EXPECT_DOUBLE_EQ(
+        pool_schedule_energy(fixed, 1.0).idle_mj,
+        multi_die_energy(8, static_cast<double>(fixed.makespan) / 1e3,
+                         0, 1.0, 0, 0, busy_ms)
+            .idle_mj);
+}
+
 // ---- Engine: layer-boundary checkpoint/resume --------------------------
 
 TEST(EnginePreemption, SingleStageSlicesBitIdentical)
@@ -750,6 +816,92 @@ TEST(PoolSchedulerSlo, LiveEasyBackfillRunsShortJobInTheHole)
     EXPECT_NO_THROW(f0.get());
     EXPECT_NO_THROW(f1.get());
     EXPECT_NO_THROW(f2.get());
+    EXPECT_EQ(scheduler.stats().completed(), 3u);
+}
+
+/** Earliest start (µs) of the die leases of pool job `id` in a Chrome
+ * trace, or -1 when the job never leased a die. */
+double
+first_lease_us(const std::string &json, std::uint64_t id)
+{
+    const std::string key = "\"name\": \"lease: job " + std::to_string(id);
+    double first = -1.0;
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        const char next = json[at + key.size()];
+        if (next != '"' && next != ' ')
+            continue; // "job 1" must not match "job 12"
+        const std::size_t ts = json.find("\"ts\": ", at);
+        const double us = std::strtod(json.c_str() + ts + 6, nullptr);
+        if (first < 0.0 || us < first)
+            first = us;
+    }
+    return first;
+}
+
+TEST(PoolSchedulerSlo, LiveEasyBackfillExtraDiesRuleAdmitsLongJob)
+{
+    // D=4, FIFO gang with backfill, paused backlog. j1 runs a P=2 job
+    // on two dies; the head j2 needs three and blocks. Its reservation
+    // is when j1's slices finish (they share one estimate), and then
+    // 2 idle + 2 freed dies leave one extra die beyond the head's
+    // width. j3's estimate runs far past the reservation, so only the
+    // extra-dies rule can admit it: it must start before the head,
+    // and the head must still start by its reservation.
+    Model model = make_model(ModelKind::kGcn16, 16, 0);
+    EngineConfig cfg;
+    GraphSample pair = make_random_sample(
+        make_ring_lattice(200000, 2), 16, 0, 0x590);
+    GraphSample head = make_random_sample(
+        make_ring_lattice(3000, 2), 16, 0, 0x591);
+    GraphSample single = make_random_sample(
+        make_ring_lattice(64, 2), 16, 0, 0x592);
+    // Generous slice estimate: the reservation lies far beyond j1's
+    // real finish, so "started by its reservation" is a wall-clock
+    // fact, not a race.
+    constexpr std::uint64_t kSliceCycles = 1'000'000'000'000ull;
+
+    obs::TraceSession session;
+    session.install();
+    PoolConfig pool;
+    pool.num_dies = 4;
+    pool.policy = PoolPolicy::kFifoGang;
+    pool.easy_backfill = true;
+    pool.start_paused = true;
+    PoolScheduler scheduler(model, cfg, pool);
+
+    ShardConfig two;
+    two.num_shards = 2;
+    ShardConfig three;
+    three.num_shards = 3;
+    JobSpec slice;
+    slice.estimated_task_cycles = kSliceCycles;
+    JobSpec longer;
+    longer.estimated_task_cycles = 1000 * kSliceCycles;
+    auto f1 = scheduler.submit_sharded(pair, two, RunOptions{}, slice);
+    auto f2 = scheduler.submit_sharded(head, three, RunOptions{}, slice);
+    auto f3 = scheduler.submit(single, RunOptions{}, longer);
+    scheduler.start();
+    EXPECT_NO_THROW(f1.get());
+    EXPECT_NO_THROW(f2.get());
+    EXPECT_NO_THROW(f3.get());
+    scheduler.drain();
+    session.uninstall();
+
+    std::ostringstream os;
+    session.write_chrome_trace(os);
+    const std::string json = os.str();
+    const double j1 = first_lease_us(json, 1);
+    const double j2 = first_lease_us(json, 2);
+    const double j3 = first_lease_us(json, 3);
+    ASSERT_GE(j1, 0.0);
+    ASSERT_GE(j2, 0.0);
+    ASSERT_GE(j3, 0.0);
+    EXPECT_LT(j3, j2) << "the extra-dies rule backfills j3 ahead of the "
+                         "blocked head";
+    const double reservation_us =
+        j1 + static_cast<double>(kSliceCycles) / cfg.clock_mhz;
+    EXPECT_LE(j2, reservation_us) << "the head starts by its reservation";
     EXPECT_EQ(scheduler.stats().completed(), 3u);
 }
 

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "core/engine.h"
-#include "serve/stream.h"
+#include "pool/stream.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "tensor/ops.h"
@@ -16,8 +16,8 @@ TEST(StreamRunner, SingleGraphEqualsSequential)
 {
     GraphSample s = make_sample(DatasetKind::kMolHiv, 0);
     Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
-    InferenceService service(m);
-    StreamRunner runner(service);
+    PoolScheduler pool(m);
+    StreamRunner runner(pool);
     SampleStream stream(DatasetKind::kMolHiv, 1);
     StreamRunStats st = runner.run(stream, 1);
     EXPECT_EQ(st.pipelined_cycles, st.sequential_cycles);
@@ -28,8 +28,8 @@ TEST(StreamRunner, PipeliningNeverSlower)
 {
     GraphSample s = make_sample(DatasetKind::kHep, 0);
     Model m = make_model(ModelKind::kGcn, s.node_dim(), s.edge_dim());
-    InferenceService service(m);
-    StreamRunner runner(service);
+    PoolScheduler pool(m);
+    StreamRunner runner(pool);
     SampleStream stream(DatasetKind::kHep, 32);
     StreamRunStats st = runner.run(stream, 32);
     EXPECT_LE(st.pipelined_cycles, st.sequential_cycles);
@@ -51,8 +51,8 @@ TEST(StreamRunner, SteadyStateBoundedByStageMax)
         load_sum += r.stats.load_cycles;
         compute_sum += r.stats.total_cycles - r.stats.load_cycles;
     }
-    InferenceService service(m);
-    StreamRunner runner(service);
+    PoolScheduler pool(m);
+    StreamRunner runner(pool);
     SampleStream stream(DatasetKind::kMolHiv, 16);
     StreamRunStats st = runner.run(stream, 16);
     EXPECT_GE(st.pipelined_cycles, std::max(load_sum, compute_sum));
@@ -63,34 +63,34 @@ TEST(StreamRunner, ZeroGraphsIsEmpty)
 {
     GraphSample s = make_sample(DatasetKind::kMolHiv, 0);
     Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
-    InferenceService service(m);
-    StreamRunner runner(service);
+    PoolScheduler pool(m);
+    StreamRunner runner(pool);
     SampleStream stream(DatasetKind::kMolHiv, 4);
     StreamRunStats st = runner.run(stream, 0);
     EXPECT_EQ(st.pipelined_cycles, 0u);
     EXPECT_EQ(st.graphs, 0u);
 }
 
-TEST(StreamRunner, WorksOnPausedAndRejectingServices)
+TEST(StreamRunner, WorksOnPausedAndRejectingPools)
 {
-    // The runner must start a parked service and keep its in-flight
-    // window within queue capacity, so a kReject service never sheds
+    // The runner must start a parked pool and keep its in-flight
+    // window within queue capacity, so a kReject pool never sheds
     // stream traffic.
     GraphSample s = make_sample(DatasetKind::kMolHiv, 0);
     Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
-    ServiceConfig svc;
-    svc.replicas = 2;
-    svc.queue_capacity = 2;
-    svc.admission = AdmissionPolicy::kReject;
-    svc.start_paused = true;
-    InferenceService service(m, {}, svc);
-    StreamRunner runner(service);
+    PoolConfig config;
+    config.num_dies = 2;
+    config.queue_capacity = 2;
+    config.admission = AdmissionPolicy::kReject;
+    config.start_paused = true;
+    PoolScheduler pool(m, {}, config);
+    StreamRunner runner(pool);
     SampleStream stream(DatasetKind::kMolHiv, 16);
     StreamRunStats st = runner.run(stream, 16);
     EXPECT_EQ(st.graphs, 16u);
     EXPECT_GT(st.pipelined_cycles, 0u);
-    EXPECT_EQ(service.stats().rejected, 0u);
-    EXPECT_EQ(service.stats().completed, 16u);
+    EXPECT_EQ(pool.stats().fast.rejected, 0u);
+    EXPECT_EQ(pool.stats().fast.completed, 16u);
 }
 
 CooGraph
