@@ -106,11 +106,10 @@ main(int argc, char **argv)
         } else {
             ShardConfig shard;
             shard.num_shards = job.width;
-            ShardedRunResult r =
-                ShardedEngine(model, cfg, shard).run(job.sample);
-            for (const ShardInfo &info : r.shards)
-                sim.task_cycles.push_back(info.stats.total_cycles +
-                                          info.comm_cycles);
+            // One task per modeled die, as long as its die's chain.
+            sim.task_cycles =
+                ShardedEngine(model, cfg, shard).run(job.sample)
+                    .stats.die_cycles;
         }
         total_tasks += sim.task_cycles.size();
         sim_trace.push_back(std::move(sim));

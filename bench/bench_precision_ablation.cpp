@@ -9,14 +9,13 @@
  * (precision changes datapath width, not the schedule).
  *
  * The second section is the multi-die question: does sharding compound
- * quantization error? Halo mode never re-quantizes (each die holds its
- * closure in full precision); ghost mode re-quantizes every embedding
- * at every boundary crossing — but the engine's quantizer is
- * idempotent, so shipped values are already exactly representable and
- * the crossing is value-preserving. The sweep (format x shard count x
- * mode, single NT unit) demonstrates it: drift is flat in the shard
- * count and identical between modes, i.e. error depends on the
- * datapath format alone, never on how many dies the graph spans.
+ * quantization error? Sharded runs re-quantize every embedding at
+ * every boundary crossing — but the engine's quantizer is idempotent,
+ * so shipped values are already exactly representable and the
+ * crossing is value-preserving. The sweep (format x shard count,
+ * single NT unit) demonstrates it: drift is flat in the shard count,
+ * i.e. error depends on the datapath format alone, never on how many
+ * dies the graph spans.
  */
 #include <cmath>
 
@@ -118,14 +117,14 @@ main()
                 "amplifies (untrained) activations beyond the 16-bit "
                 "range — why deployments calibrate formats per model.\n");
 
-    // ---- Quantization error vs shard count, halo vs ghost ------------
+    // ---- Quantization error vs shard count ---------------------------
     bench::banner(
         "Quantization error vs shard count (GCN-16, Barabási–Albert)",
-        "Max |sharded fixed-point - fp32 reference| per format, shard "
-        "count, and ShardMode, with one NT unit (order-preserving). "
-        "Ghost mode re-quantizes at every boundary crossing; "
-        "idempotent quantization keeps the drift flat in P and "
-        "identical to halo — sharding never compounds datapath error.");
+        "Max |sharded fixed-point - fp32 reference| per format and "
+        "shard count, with one NT unit (order-preserving). Every "
+        "boundary crossing re-quantizes; idempotent quantization keeps "
+        "the drift flat in P — sharding never compounds datapath "
+        "error.");
 
     Rng rng(0xFACE);
     GraphSample big = bench::with_features(
@@ -137,47 +136,38 @@ main()
     EngineConfig ecfg;
     ecfg.p_node = 1; // src-major everywhere: isolates quantization
     const std::uint32_t shard_counts[] = {1, 2, 4};
-    const ShardMode shard_modes[] = {ShardMode::kHaloReplication,
-                                     ShardMode::kGhostExchange};
 
-    std::printf("%-9s %-7s", "format", "mode");
+    std::printf("%-9s", "format");
     for (std::uint32_t p : shard_counts)
         std::printf(" %14s%u", "max drift P=", p);
     std::printf("\n");
-    bench::rule(66);
+    bench::rule(58);
     char fmt_name[16];
     for (const auto &fmt : formats) {
         RunOptions opts;
         opts.emulate_fixed_point = true;
         opts.fixed_point = fmt;
-        for (ShardMode mode : shard_modes) {
-            std::printf("%-9s %-7s",
-                        fmt.name_into(fmt_name, sizeof fmt_name),
-                        shard_mode_name(mode));
-            for (std::uint32_t p : shard_counts) {
-                ShardConfig shard;
-                shard.num_shards = p;
-                shard.strategy = ShardStrategy::kFennel;
-                shard.mode = mode;
-                ShardedRunResult r =
-                    ShardedEngine(gcn16, ecfg, shard).run(big, opts);
-                double drift = 0.0;
-                for (std::size_t k = 0; k < r.embeddings.size(); ++k)
-                    drift = std::max(
-                        drift,
-                        static_cast<double>(std::abs(
-                            r.embeddings.data()[k] -
-                            reference.data()[k])));
-                std::printf(" %15.2e", drift);
-            }
-            std::printf("\n");
+        std::printf("%-9s", fmt.name_into(fmt_name, sizeof fmt_name));
+        for (std::uint32_t p : shard_counts) {
+            ShardConfig shard;
+            shard.num_shards = p;
+            shard.strategy = ShardStrategy::kFennel;
+            ShardedRunResult r =
+                ShardedEngine(gcn16, ecfg, shard).run(big, opts);
+            double drift = 0.0;
+            for (std::size_t k = 0; k < r.embeddings.size(); ++k)
+                drift = std::max(
+                    drift, static_cast<double>(std::abs(
+                               r.embeddings.data()[k] -
+                               reference.data()[k])));
+            std::printf(" %15.2e", drift);
         }
+        std::printf("\n");
     }
-    bench::rule(66);
+    bench::rule(58);
     std::printf(
-        "Expected: within each format the two mode rows agree exactly "
-        "and every P column repeats P=1 —\nerror growth with shard "
-        "count is zero by construction (idempotent re-quantization at "
-        "the boundary).\n");
+        "Expected: every P column repeats P=1 — error growth with "
+        "shard count is zero by construction\n(idempotent "
+        "re-quantization at the boundary).\n");
     return 0;
 }

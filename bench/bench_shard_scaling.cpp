@@ -10,18 +10,15 @@
  *                         [--json PATH] [--sweep-nodes N]
  *                         [--sweep-json PATH] [--no-sweep]
  *                         [--graph-file PATH] [--strategies a,b,..]
- *                         [--shards 1,2,4,8] [--modes halo,ghost]
+ *                         [--shards 1,2,4,8]
  *                         [--restream N] [--restream-json PATH]
  *
  * --json writes a machine-readable record of every point (consumed by
  * CI as a workflow artifact, so the bench trajectory is tracked).
  *
- * --modes runs the scaling section per ShardMode — the halo-vs-ghost
- * head-to-head is the default. Every point reports the peak per-die
- * resident footprint next to cycles and replication, so the table
- * shows both what sharding buys in capacity and what it costs (halo)
- * or earns (ghost) in modeled time. The P=1 baseline is mode-
- * independent and runs once per strategy.
+ * Every point reports the peak per-die resident footprint next to
+ * cycles and replication, so the table shows both what sharding buys
+ * in capacity and what it earns in modeled time.
  *
  * --restream N applies N restreaming passes (Nishimura & Ugander) to
  * every streaming-partitioned point. The separate restreaming study
@@ -35,9 +32,7 @@
  * the full-scale Reddit-class file written by flowgnn_make_reddit.
  * Since on-disk graphs are usually power-law, the default strategy
  * set switches to contiguous + fennel there; --strategies overrides
- * either default, and --shards trims the shard-count ladder (a
- * power-law graph's 2-hop closures saturate, so each P-shard point
- * costs ~P full-graph runs).
+ * either default, and --shards trims the shard-count ladder.
  *
  * The second section is the strategy x graph-family sweep behind the
  * streaming partitioners: every ShardStrategy on a shuffled ring
@@ -73,7 +68,6 @@ make_workload(NodeId nodes, std::size_t node_dim)
 
 struct Point {
     const char *strategy;
-    const char *mode;
     std::uint32_t shards;
     std::uint64_t cycles;
     std::uint64_t comm_cycles;
@@ -164,8 +158,6 @@ main(int argc, char **argv)
     std::uint32_t restream_passes = 0;
     std::vector<ShardStrategy> strategies;
     std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
-    std::vector<ShardMode> modes = {ShardMode::kHaloReplication,
-                                    ShardMode::kGhostExchange};
     for (int a = 1; a < argc; ++a) {
         if (!std::strcmp(argv[a], "--nodes") && a + 1 < argc)
             nodes = static_cast<NodeId>(std::atoll(argv[++a]));
@@ -198,22 +190,6 @@ main(int argc, char **argv)
                     return static_cast<std::uint32_t>(
                         std::atoll(s.c_str()));
                 });
-        else if (!std::strcmp(argv[a], "--modes") && a + 1 < argc) {
-            try {
-                modes = parse_list<ShardMode>(
-                    argv[++a], [](const std::string &s) {
-                        if (s == "halo")
-                            return ShardMode::kHaloReplication;
-                        if (s == "ghost")
-                            return ShardMode::kGhostExchange;
-                        throw std::invalid_argument(
-                            "--modes entries must be halo or ghost");
-                    });
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                return 1;
-            }
-        }
         else if (!std::strcmp(argv[a], "--restream") && a + 1 < argc)
             restream_passes = static_cast<std::uint32_t>(
                 std::atoll(argv[++a]));
@@ -265,79 +241,61 @@ main(int argc, char **argv)
             ? "Modeled cycles for one large graph split across P dies "
               "(ring lattice, k=2: ids carry locality). Contiguous "
               "shards cut only die boundaries; the modulo hash ignores "
-              "locality and replicates nearly everything — the cut "
-              "metrics predict which one scales."
+              "locality and cuts nearly every edge — the cut metrics "
+              "predict which one scales."
             : "Modeled cycles for one on-disk graph split across P "
               "dies. Loaded via flowgnn::io — the sharded stack runs "
               "against storage, not a generator.");
     if (!graph_file.empty())
         std::printf("graph file: %s\n", graph_file.c_str());
-    std::printf("graph: %u nodes / %zu edges, model %s, %u-hop halo\n\n",
+    std::printf("graph: %u nodes / %zu edges, model %s, %u exchanging "
+                "layers\n\n",
                 sample.graph.num_nodes, sample.num_edges(),
-                model_name(kind), ShardedEngine::message_hops(model));
+                model_name(kind), message_hops(model));
 
-    std::printf("%-12s %-6s %7s %14s %12s %14s %9s %8s %8s\n",
-                "strategy", "mode", "shards", "cycles", "comm",
-                "resident", "speedup", "cut", "repl");
-    bench::rule(96);
+    std::printf("%-12s %7s %14s %12s %14s %9s %8s %8s\n", "strategy",
+                "shards", "cycles", "comm", "resident", "speedup", "cut",
+                "repl");
+    bench::rule(89);
 
     std::vector<Point> points;
     for (ShardStrategy strategy : strategies) {
-        // P=1 runs the identical whole-graph path in both modes, so
-        // the (expensive, on Reddit-class files) baseline runs once
-        // per strategy and its row is reused across modes.
         std::uint64_t base_cycles = 0;
-        bool have_base = false;
-        Point base_point{};
-        for (ShardMode mode : modes) {
-            for (std::uint32_t shards : shard_counts) {
-                Point p;
-                if (shards == 1 && have_base) {
-                    p = base_point;
-                } else {
-                    ShardConfig cfg;
-                    cfg.num_shards = shards;
-                    cfg.strategy = strategy;
-                    cfg.mode = mode;
-                    cfg.restream_passes = restream_passes;
-                    ShardedRunResult r =
-                        ShardedEngine(model, {}, cfg).run(sample);
-                    p.strategy = shard_strategy_name(strategy);
-                    p.shards = shards;
-                    p.cycles = r.stats.total_cycles;
-                    p.comm_cycles = r.stats.comm_cycles;
-                    p.resident_words = peak_resident(r);
-                    p.cut_fraction = // 0 for edgeless graphs, not NaN
-                        sample.num_edges() == 0
+        for (std::uint32_t shards : shard_counts) {
+            ShardConfig cfg;
+            cfg.num_shards = shards;
+            cfg.strategy = strategy;
+            cfg.restream_passes = restream_passes;
+            ShardedRunResult r = ShardedEngine(model, {}, cfg).run(sample);
+            Point p;
+            p.strategy = shard_strategy_name(strategy);
+            p.shards = shards;
+            p.cycles = r.stats.total_cycles;
+            p.comm_cycles = r.stats.comm_cycles;
+            p.resident_words = peak_resident(r);
+            p.cut_fraction = // 0 for edgeless graphs, not NaN
+                sample.num_edges() == 0
+                    ? 0.0
+                    : static_cast<double>(r.cut_edges) /
+                          static_cast<double>(sample.num_edges());
+            p.replication = r.replication_factor;
+            if (shards == 1)
+                base_cycles = p.cycles;
+            // 0 when the --shards list omits the 1-die baseline.
+            p.speedup = base_cycles == 0
                             ? 0.0
-                            : static_cast<double>(r.cut_edges) /
-                                  static_cast<double>(
-                                      sample.num_edges());
-                    p.replication = r.replication_factor;
-                    if (shards == 1) {
-                        base_cycles = p.cycles;
-                        base_point = p;
-                        have_base = true;
-                    }
-                }
-                p.mode = shard_mode_name(mode);
-                // 0 when the --shards list omits the 1-die baseline.
-                p.speedup = base_cycles == 0
-                                ? 0.0
-                                : static_cast<double>(base_cycles) /
-                                      static_cast<double>(p.cycles);
-                points.push_back(p);
-                std::printf(
-                    "%-12s %-6s %7u %14llu %12llu %14llu %8.2fx "
-                    "%8.3f %8.3f\n",
-                    p.strategy, p.mode, p.shards,
-                    static_cast<unsigned long long>(p.cycles),
-                    static_cast<unsigned long long>(p.comm_cycles),
-                    static_cast<unsigned long long>(p.resident_words),
-                    p.speedup, p.cut_fraction, p.replication);
-            }
-            bench::rule(96);
+                            : static_cast<double>(base_cycles) /
+                                  static_cast<double>(p.cycles);
+            points.push_back(p);
+            std::printf("%-12s %7u %14llu %12llu %14llu %8.2fx %8.3f "
+                        "%8.3f\n",
+                        p.strategy, p.shards,
+                        static_cast<unsigned long long>(p.cycles),
+                        static_cast<unsigned long long>(p.comm_cycles),
+                        static_cast<unsigned long long>(p.resident_words),
+                        p.speedup, p.cut_fraction, p.replication);
         }
+        bench::rule(89);
     }
 
     if (!json_path.empty()) {
@@ -354,7 +312,6 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < points.size(); ++i) {
             const Point &p = points[i];
             os << "    {\"strategy\": \"" << p.strategy
-               << "\", \"mode\": \"" << p.mode
                << "\", \"shards\": " << p.shards
                << ", \"cycles\": " << p.cycles
                << ", \"comm_cycles\": " << p.comm_cycles

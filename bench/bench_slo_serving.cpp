@@ -96,12 +96,9 @@ main(int argc, char **argv)
         bench::make_lattice_workload(6000 * scale, 16, 0x511);
     ShardConfig two;
     two.num_shards = 2;
-    ShardedRunResult wide_run =
-        ShardedEngine(model, cfg, two).run(wide_sample);
-    std::vector<std::uint64_t> wide_cycles;
-    for (const ShardInfo &info : wide_run.shards)
-        wide_cycles.push_back(info.stats.total_cycles +
-                              info.comm_cycles);
+    // One task per modeled die, each as long as its die's chain.
+    const std::vector<std::uint64_t> wide_cycles =
+        ShardedEngine(model, cfg, two).run(wide_sample).stats.die_cycles;
 
     // Two service classes: interactive singles with a tight SLO (6x
     // the isolated latency — queueing headroom, not burst headroom)

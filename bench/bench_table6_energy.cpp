@@ -70,12 +70,12 @@ main()
     bench::rule(94);
     std::printf("Paper: 163x-1748x energy efficiency over GPU.\n");
 
-    // ---- Scale-out point: the multi-die energy model (link +
-    // replicated-halo storage) on a graph too large for one die.
-    // Latency drops near-linearly with dies while per-run energy
-    // grows slightly: dies burn power for the shared makespan and the
-    // link + halo overheads are pure additions — the energy cost of
-    // speed, quantified. ----
+    // ---- Scale-out point: the multi-die energy model (per-layer
+    // exchange traffic + ghost-fringe storage) on a graph too large
+    // for one die. Latency drops near-linearly with dies while per-run
+    // energy grows slightly: dies burn power for the shared makespan
+    // and the link + fringe overheads are pure additions — the energy
+    // cost of speed, quantified. ----
     std::printf("\nScale-out: 60k-node ring lattice, GCN-16, "
                 "contiguous shards, %u-word/cycle link\n\n",
                 LinkConfig{}.words_per_cycle);
@@ -85,7 +85,7 @@ main()
     Model gcn16 = make_model(ModelKind::kGcn16, kDim, 0);
 
     std::printf("%4s | %10s | %10s | %8s | %8s | %10s | %8s\n", "dies",
-                "latency ms", "compute mJ", "link mJ", "halo mJ",
+                "latency ms", "compute mJ", "link mJ", "ghost mJ",
                 "graphs/kJ", "speedup");
     bench::rule(78);
     struct ScaleRow {
@@ -105,7 +105,7 @@ main()
             ShardedEngine(gcn16, {}, shard).run(large);
         std::uint64_t link_words = 0;
         for (const ShardInfo &info : r.shards)
-            link_words += info.halo_words;
+            link_words += info.exchange_send_words;
         MultiDieEnergy e = multi_die_energy(
             dies, r.latency_ms(), link_words, r.replication_factor,
             kNodes, kDim);
@@ -113,7 +113,7 @@ main()
             base_ms = r.latency_ms();
         std::printf(
             "%4u | %10.3f | %10.3f | %8.4f | %8.4f | %10.3e | %7.2fx\n",
-            dies, r.latency_ms(), e.compute_mj, e.link_mj, e.halo_mj,
+            dies, r.latency_ms(), e.compute_mj, e.link_mj, e.ghost_mj,
             e.graphs_per_kj, base_ms / r.latency_ms());
 
         ScaleRow row;
@@ -134,7 +134,7 @@ main()
     }
     bench::rule(78);
     std::printf("Near-linear latency scaling at near-constant energy: "
-                "the link+halo tax of contiguous shards is tiny.\n");
+                "the link+ghost tax of contiguous shards is tiny.\n");
 
     // ---- Busy-vs-idle breakdown on a fixed chassis. A die that
     // finished its slice early — or never got one — still burns

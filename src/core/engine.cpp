@@ -140,6 +140,22 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
              model_.stage(ckpt.next_stage - 1).out_dim()))
         throw std::invalid_argument(
             "Engine: checkpoint does not match the sample");
+    if (resuming) {
+        // Pending aggregation state exists exactly when the resumed
+        // stage consumes scattered messages, and is read per node at
+        // that stage's state width: a corrupt one must never be read.
+        const Layer &next = model_.stage(ckpt.next_stage);
+        const bool wants_agg = next.msg_dim() > 0 &&
+                               next.dataflow() == DataflowKind::kNtToMp;
+        if (ckpt.have_agg != wants_agg ||
+            ckpt.agg_state.size() !=
+                (wants_agg ? std::size_t(prepared.num_nodes()) *
+                                 next.aggregator().state_dim()
+                           : 0))
+            throw std::invalid_argument(
+                "Engine: checkpoint aggregation state does not match the "
+                "model and sample");
+    }
 
     const NodeId n_nodes = prepared.num_nodes();
     LayerContext ctx =
@@ -442,7 +458,10 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
              (opts.preempt != nullptr && opts.preempt->requested()))) {
             ckpt.next_stage = si + 1;
             ckpt.embeddings = std::move(cur);
-            ckpt.agg_state = std::move(prev_state);
+            if (have_prev_agg)
+                ckpt.agg_state = std::move(prev_state);
+            else
+                ckpt.agg_state.clear(); // prev_state may be stale
             ckpt.have_agg = have_prev_agg;
             ckpt.pending_gat = (pending_gat != nullptr);
             ckpt.stats = std::move(stats);

@@ -13,8 +13,8 @@
  * and ghost nodes (zero-cost re-stream of an embedding received over
  * the inter-die link — the same mechanism the GAT re-stream round
  * uses). Keeping the timing model in one place is what guarantees a
- * die of the ghost executor and a die of the halo executor price
- * identical work identically.
+ * die of the ghost executor and the single-die engine price identical
+ * work identically.
  *
  * build_stage_schedule() derives the per-stage cost constants
  * (accumulate passes, stream width, scatter expansion) from a model +

@@ -32,18 +32,19 @@ RunStats::die_utilizations() const
     return out;
 }
 
-namespace {
-
-/**
- * The die-merging core shared by both compose_shard_stats overloads:
- * per-die chain lengths are supplied by the caller; everything else
- * (maxes, concatenations, trace unit-id offsets) is common.
- */
 RunStats
-compose_core(const std::vector<RunStats> &shards,
-             const std::vector<std::uint64_t> &chains,
-             const std::vector<std::uint64_t> &die_comm)
+compose_shard_stats(
+    const std::vector<RunStats> &shards,
+    const std::vector<std::vector<std::uint64_t>> &per_layer_comm,
+    bool overlap_comm)
 {
+    if (shards.empty())
+        throw std::invalid_argument(
+            "compose_shard_stats: need at least one shard");
+    if (per_layer_comm.size() != shards.size())
+        throw std::invalid_argument(
+            "compose_shard_stats: per_layer_comm size mismatch");
+
     RunStats out;
     out.clock_mhz = shards.front().clock_mhz;
     out.die_cycles.reserve(shards.size());
@@ -51,9 +52,29 @@ compose_core(const std::vector<RunStats> &shards,
     std::uint32_t mp_offset = 0;
     for (std::size_t s = 0; s < shards.size(); ++s) {
         const RunStats &sh = shards[s];
-        out.die_cycles.push_back(chains[s]);
-        out.total_cycles = std::max(out.total_cycles, chains[s]);
-        out.comm_cycles = std::max(out.comm_cycles, die_comm[s]);
+        const std::vector<std::uint64_t> &comm = per_layer_comm[s];
+        // Die s's chain: its compute plus the exposed cost of every
+        // boundary exchange (see the header for the two models).
+        std::uint64_t die_comm = 0;
+        std::uint64_t exposed = 0;
+        for (std::size_t p = 0; p < comm.size(); ++p) {
+            die_comm += comm[p];
+            const std::uint64_t window =
+                p < sh.phase_cycles.size() ? sh.phase_cycles[p] : 0;
+            exposed += overlap_comm
+                ? (comm[p] > window ? comm[p] - window : 0)
+                : comm[p];
+        }
+        const std::uint64_t chain = sh.total_cycles + exposed;
+        out.die_cycles.push_back(chain);
+        out.total_cycles = std::max(out.total_cycles, chain);
+        out.comm_cycles = std::max(out.comm_cycles, die_comm);
+        if (comm.size() > out.layer_comm_cycles.size())
+            out.layer_comm_cycles.resize(comm.size(), 0);
+        for (std::size_t p = 0; p < comm.size(); ++p)
+            out.layer_comm_cycles[p] =
+                std::max(out.layer_comm_cycles[p], comm[p]);
+
         out.load_cycles = std::max(out.load_cycles, sh.load_cycles);
         out.head_cycles = std::max(out.head_cycles, sh.head_cycles);
         if (sh.phase_cycles.size() > out.phase_cycles.size())
@@ -80,84 +101,6 @@ compose_core(const std::vector<RunStats> &shards,
         nt_offset += static_cast<std::uint32_t>(sh.nt_units.size());
         mp_offset += static_cast<std::uint32_t>(sh.mp_units.size());
     }
-    return out;
-}
-
-} // namespace
-
-RunStats
-compose_shard_stats(const std::vector<RunStats> &shards,
-                    const std::vector<std::uint64_t> &comm_cycles,
-                    bool overlap_comm)
-{
-    if (shards.empty())
-        throw std::invalid_argument(
-            "compose_shard_stats: need at least one shard");
-    if (comm_cycles.size() != shards.size())
-        throw std::invalid_argument(
-            "compose_shard_stats: comm_cycles size mismatch");
-
-    // Dies run concurrently; the system finishes with the die whose
-    // fetch + compute chain is longest. Serial mode charges the full
-    // halo fetch before compute; overlap mode hides the fetch behind
-    // the die's own input DMA (load_cycles) and only the excess delays
-    // the compute remainder.
-    std::vector<std::uint64_t> chains(shards.size());
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const RunStats &sh = shards[s];
-        if (overlap_comm) {
-            std::uint64_t prefix =
-                std::max(comm_cycles[s], sh.load_cycles);
-            chains[s] = prefix + (sh.total_cycles - sh.load_cycles);
-        } else {
-            chains[s] = sh.total_cycles + comm_cycles[s];
-        }
-    }
-    return compose_core(shards, chains, comm_cycles);
-}
-
-RunStats
-compose_shard_stats(
-    const std::vector<RunStats> &shards,
-    const std::vector<std::vector<std::uint64_t>> &per_layer_comm,
-    bool overlap_comm)
-{
-    if (shards.empty())
-        throw std::invalid_argument(
-            "compose_shard_stats: need at least one shard");
-    if (per_layer_comm.size() != shards.size())
-        throw std::invalid_argument(
-            "compose_shard_stats: per_layer_comm size mismatch");
-
-    // Per-layer exchange: die d's chain is its compute total plus the
-    // exposed cost of every boundary exchange. Serial exposes each
-    // exchange in full; overlap hides exchange p behind the die's
-    // phase-p compute window (see the header for the model).
-    std::vector<std::uint64_t> chains(shards.size());
-    std::vector<std::uint64_t> die_comm(shards.size(), 0);
-    std::size_t n_layers = 0;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const RunStats &sh = shards[s];
-        const auto &comm = per_layer_comm[s];
-        n_layers = std::max(n_layers, comm.size());
-        std::uint64_t exposed = 0;
-        for (std::size_t p = 0; p < comm.size(); ++p) {
-            die_comm[s] += comm[p];
-            std::uint64_t window = p < sh.phase_cycles.size()
-                ? sh.phase_cycles[p]
-                : 0;
-            exposed += overlap_comm
-                ? (comm[p] > window ? comm[p] - window : 0)
-                : comm[p];
-        }
-        chains[s] = sh.total_cycles + exposed;
-    }
-    RunStats out = compose_core(shards, chains, die_comm);
-    out.layer_comm_cycles.assign(n_layers, 0);
-    for (const auto &comm : per_layer_comm)
-        for (std::size_t p = 0; p < comm.size(); ++p)
-            out.layer_comm_cycles[p] =
-                std::max(out.layer_comm_cycles[p], comm[p]);
     return out;
 }
 

@@ -31,7 +31,7 @@ price_ghost_die(const GhostShard &shard,
     const NodeId n_locals = shard.local_graph.num_nodes;
     const NodeId n_owned =
         static_cast<NodeId>(shard.info.owned_nodes);
-    const std::uint64_t n_ghosts = shard.info.halo_nodes;
+    const std::uint64_t n_ghosts = shard.info.ghost_nodes;
 
     RunStats stats;
     stats.clock_mhz = cfg.clock_mhz;
@@ -240,11 +240,40 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         return out;
     }
 
+    // ---- Per-die timing, one thread per die ----
+    // Timing is structural: it needs no value of the functional pass,
+    // so a run that cannot yield prices its dies alongside that pass.
+    // A preemptible run prices once, after the segment that completes.
+    // (jthreads: joined on every exit path, exceptions included.)
+    const std::vector<StageSchedule> schedule =
+        build_stage_schedule(model, config);
+    const std::size_t node_dim = prepared.node_dim;
+    const std::size_t edge_dim = prepared.edge_dim;
+    std::vector<RunStats> per_die(plan.shards.size());
+    std::vector<std::jthread> pricers;
+    auto start_pricing = [&] {
+        pricers.reserve(plan.shards.size());
+        for (std::size_t t = 0; t < plan.shards.size(); ++t) {
+            pricers.emplace_back([&, t] {
+                char nm[32];
+                std::snprintf(nm, sizeof nm, "price die %zu", t);
+                if (obs::TraceSession *s = obs::TraceSession::current())
+                    s->name_thread(obs::Track::kGhost, nm);
+                obs::Span span(obs::Track::kGhost, nm);
+                per_die[t] =
+                    price_ghost_die(plan.shards[t], schedule, model,
+                                    config, opts, node_dim, edge_dim);
+            });
+        }
+    };
+    if (resume == nullptr)
+        start_pricing();
+
     // ---- Global functional pass, src-major order ----
-    // Timing is structural, so the values are computed once over the
-    // whole graph. The non-pipelined analytic mode runs the functional
-    // callbacks in src-major order at O(V + E) per stage — the same
-    // order a single-NT-unit die sees, which is what makes ghost runs
+    // The values are computed once over the whole graph. The
+    // non-pipelined analytic mode runs the functional callbacks in
+    // src-major order at O(V + E) per stage — the same order a
+    // single-NT-unit die sees, which is what makes ghost runs
     // bit-identical to unsharded single-NT runs (and keeps the result
     // invariant in the shard count). Quantization points are the
     // engine's own, and since its quantizer is idempotent, the
@@ -258,8 +287,7 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         Engine func_engine(model, func_cfg);
         if (resume != nullptr) {
             // Only the functional pass checkpoints: it is the sole
-            // carrier of values. The structural per-die pricing below
-            // runs exactly once, on the segment that completes.
+            // carrier of values.
             if (func_engine.run_resumable(prepared, opts, func_ws,
                                           resume->checkpoint, func,
                                           resume->max_stages,
@@ -278,30 +306,9 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
     out.embeddings = std::move(func.embeddings);
     out.prediction = func.prediction;
 
-    // ---- Per-die timing, one thread per die ----
-    const std::vector<StageSchedule> schedule =
-        build_stage_schedule(model, config);
-    const std::size_t node_dim = prepared.node_dim;
-    const std::size_t edge_dim = prepared.edge_dim;
-    std::vector<RunStats> per_die(plan.shards.size());
-    {
-        std::vector<std::thread> threads;
-        threads.reserve(plan.shards.size());
-        for (std::size_t t = 0; t < plan.shards.size(); ++t) {
-            threads.emplace_back([&, t] {
-                char nm[32];
-                std::snprintf(nm, sizeof nm, "price die %zu", t);
-                if (obs::TraceSession *s = obs::TraceSession::current())
-                    s->name_thread(obs::Track::kGhost, nm);
-                obs::Span span(obs::Track::kGhost, nm);
-                per_die[t] =
-                    price_ghost_die(plan.shards[t], schedule, model,
-                                    config, opts, node_dim, edge_dim);
-            });
-        }
-        for (std::thread &th : threads)
-            th.join();
-    }
+    if (resume != nullptr)
+        start_pricing();
+    pricers.clear(); // joins
 
     // ---- Compose: per-layer exchanges against per-phase windows ----
     std::vector<std::vector<std::uint64_t>> per_layer_comm;
@@ -325,31 +332,6 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
             *session, per_die, per_layer_comm,
             obs::CycleClockMap{run_start_ns, config.clock_mhz});
     return out;
-}
-
-GhostExchangeEngine::GhostExchangeEngine(const Model &model,
-                                         EngineConfig config,
-                                         ShardConfig shard_config)
-    : model_(model), config_(config), shard_config_(shard_config)
-{
-    config_.validate();
-    shard_config_.validate();
-}
-
-ShardedRunResult
-GhostExchangeEngine::run(const GraphSample &sample) const
-{
-    return run(sample, RunOptions{});
-}
-
-ShardedRunResult
-GhostExchangeEngine::run(const GraphSample &sample,
-                         const RunOptions &opts) const
-{
-    GraphSample prepared = model_.prepare(sample);
-    GhostPlan plan = make_ghost_plan(model_, prepared, shard_config_);
-    return run_ghost_plan(model_, config_, prepared, std::move(plan),
-                          opts, shard_config_.link);
 }
 
 } // namespace flowgnn

@@ -12,11 +12,11 @@
  * globally in src-major order. Src-major is exactly the arrival order
  * of a single-NT-unit die, so ghost results are bit-identical to
  * unsharded single-NT runs and within float-reassociation tolerance
- * of multi-NT ones — the same exactness contract the halo mode has.
+ * of multi-NT ones.
  *
- * Per-layer exchange cycles compose through the layered
- * compose_shard_stats overload: serial by default, or hidden behind
- * each phase's compute window under LinkConfig::overlap.
+ * Per-layer exchange cycles compose through compose_shard_stats:
+ * serial by default, or hidden behind each phase's compute window
+ * under LinkConfig::overlap.
  */
 #ifndef FLOWGNN_GHOST_GHOST_ENGINE_H
 #define FLOWGNN_GHOST_GHOST_ENGINE_H
@@ -26,11 +26,11 @@
 namespace flowgnn {
 
 /**
- * Runs a ghost plan: P concurrent per-die timing passes + one global
- * functional pass, composed into the same ShardedRunResult shape the
- * halo path produces. Non-sharded plans (fallbacks) run the plain
- * engine. `link` prices nothing here — the plan already did — but its
- * `overlap` flag picks the comm/compute composition.
+ * Runs a ghost plan: P concurrent per-die timing passes, run alongside
+ * one global functional pass, composed into one ShardedRunResult.
+ * Non-sharded plans (fallbacks) run the plain engine. `link` prices
+ * nothing here — the plan already did — but its `overlap` flag picks
+ * the comm/compute composition.
  */
 ShardedRunResult run_ghost_plan(const Model &model,
                                 const EngineConfig &config,
@@ -99,26 +99,6 @@ ShardedRunResult run_ghost_plan(const Model &model,
                                 const LinkConfig &link,
                                 GhostResumeState *resume,
                                 unsigned threads = 0);
-
-/**
- * Drop-in counterpart of ShardedEngine for ghost mode; ShardedEngine
- * itself routes here when ShardConfig::mode == kGhostExchange, so most
- * callers never name this class.
- */
-class GhostExchangeEngine {
-  public:
-    GhostExchangeEngine(const Model &model, EngineConfig config,
-                        ShardConfig shard_config);
-
-    ShardedRunResult run(const GraphSample &sample) const;
-    ShardedRunResult run(const GraphSample &sample,
-                         const RunOptions &opts) const;
-
-  private:
-    const Model &model_;
-    EngineConfig config_;
-    ShardConfig shard_config_;
-};
 
 } // namespace flowgnn
 

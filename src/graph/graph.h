@@ -60,8 +60,8 @@ struct CooGraph {
 
 /**
  * Non-owning view of an edge list, the common currency of every host
- * hot path (CSR builds, partitioners, closure extraction, plan
- * construction). Two backings share one accessor surface:
+ * hot path (CSR builds, partitioners, plan construction). Two
+ * backings share one accessor surface:
  *
  *  - array-of-structs: a CooGraph's Edge vector (in-memory samples),
  *  - columnar: separate src[]/dst[] arrays — exactly the FGNB file's

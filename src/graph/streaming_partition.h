@@ -16,7 +16,7 @@
  * All three stream vertices in ascending id order (the arrival order
  * of the COO stream), are fully deterministic, and run in
  * O(E + V * P). They are exposed through ShardStrategy::{kLdg,
- * kFennel, kHdrf} so every shard consumer (make_shard_plan,
+ * kFennel, kHdrf} so every shard consumer (make_ghost_plan,
  * ShardedEngine, ShardedService, pool jobs) picks them up with zero
  * call-site changes.
  *
@@ -26,7 +26,7 @@
  * the greedy scores prefer. The partitioners always emit P non-empty-
  * capable labels, but on degenerate inputs (n < P, heavy clustering
  * at tiny n) some partitions may end up owning nothing — downstream,
- * make_shard_plan drops such empty shards and plan.slices.size()
+ * make_ghost_plan drops such empty shards and plan.shards.size()
  * becomes the effective P (see shard/shard_plan.h).
  *
  * Restreaming (Nishimura & Ugander): each partitioner accepts an

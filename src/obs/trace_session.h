@@ -8,8 +8,8 @@
  * subsystem is a *process* row (Track), each recording thread (or
  * explicitly-addressed unit) a *thread* row inside it, so a single
  * view shows: io open/parse/plan stages, pool queue-wait and die
- * leases, per-slice shard execution, per-layer ghost
- * exchanges — and, merged onto the same timeline through a cycle→µs
+ * leases, shard planning, per-layer ghost exchanges — and, merged
+ * onto the same timeline through a cycle→µs
  * CycleClockMap, the engine's cycle-domain unit trace.
  *
  * Recording discipline:
@@ -60,7 +60,7 @@ enum class Track : std::uint8_t {
     kHost = 0, ///< driver / bench stages (open, features, ...)
     kIo,       ///< graph ingestion: mmap, checksum, parse
     kPool,     ///< PoolScheduler/DiePool: queue-wait, die leases
-    kShard,    ///< halo sharding: planning, per-slice execution
+    kShard,    ///< sharding: planning
     kGhost,    ///< ghost exchange: planning, pricing, modeled timeline
     kEngine,   ///< cycle-domain engine unit trace (mapped to µs)
 };

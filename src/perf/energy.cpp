@@ -36,9 +36,9 @@ namespace {
  * energy), i.e. 0.32 nJ per 32-bit word moved. */
 constexpr double kLinkNjPerWord = 0.32;
 
-/** Writing one replicated halo word into a die's local buffers costs
+/** Writing one replicated (ghost) word into a die's local buffers costs
  * one HBM-class access, ~0.06 nJ/word (~15 pJ/byte). */
-constexpr double kHaloWriteNjPerWord = 0.06;
+constexpr double kGhostWriteNjPerWord = 0.06;
 
 } // namespace
 
@@ -99,8 +99,8 @@ multi_die_energy(std::uint32_t dies, double latency_ms,
     double replicated_words = (replication_factor - 1.0) *
                               static_cast<double>(graph_nodes) *
                               static_cast<double>(node_dim);
-    out.halo_mj = replicated_words * kHaloWriteNjPerWord * 1e-6;
-    out.total_mj = out.compute_mj + out.link_mj + out.halo_mj;
+    out.ghost_mj = replicated_words * kGhostWriteNjPerWord * 1e-6;
+    out.total_mj = out.compute_mj + out.link_mj + out.ghost_mj;
     out.graphs_per_kj = 1e6 / out.total_mj;
     return out;
 }

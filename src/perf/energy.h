@@ -36,9 +36,9 @@ double graphs_per_kj(Platform platform, double latency_ms);
  * Per-component energy of one multi-die sharded run — the scale-out
  * extension of Table VI. Compute charges every die for the full
  * makespan (dies in the same chassis draw power while waiting at the
- * merge barrier); the inter-die link charges per word moved; the
- * replicated halo charges the extra feature storage each run must
- * write beyond what a single die would hold.
+ * run's end); the inter-die link charges per word moved; the ghost
+ * fringes charge the extra feature storage each run must write beyond
+ * what a single die would hold.
  */
 struct MultiDieEnergy {
     double compute_mj = 0.0; ///< busy_mj + idle_mj
@@ -46,12 +46,12 @@ struct MultiDieEnergy {
      * wall time it actually computes. Equals compute_mj when no
      * per-die busy times are supplied. */
     double busy_mj = 0.0;
-    /** Static-draw share: dies that finished early (or never got a
-     * slice) still burn leakage + clock-tree power until the merge
-     * barrier releases the chassis. */
+    /** Static-draw share: dies that finished early (or never got
+     * work) still burn leakage + clock-tree power until the run's end
+     * releases the chassis. */
     double idle_mj = 0.0;
-    double link_mj = 0.0;    ///< halo traffic over the serial links
-    double halo_mj = 0.0;    ///< replicated (ghost) feature storage
+    double link_mj = 0.0;    ///< exchange traffic over the links
+    double ghost_mj = 0.0;   ///< replicated (ghost) feature storage
     double total_mj = 0.0;
     double graphs_per_kj = 0.0; ///< 1e6 / total_mj
 };
@@ -59,10 +59,11 @@ struct MultiDieEnergy {
 /**
  * @param dies               dies used by the run
  * @param latency_ms         composed multi-die makespan
- * @param link_words         total 4-byte words fetched over inter-die
- *                           links (sum of ShardInfo::halo_words)
- * @param replication_factor average copies of each node across shard
- *                           closures (>= 1)
+ * @param link_words         total 4-byte words sent over inter-die
+ *                           links (sum of
+ *                           ShardInfo::exchange_send_words)
+ * @param replication_factor average copies of each node across dies,
+ *                           owners plus ghost fringes (>= 1)
  * @param graph_nodes        nodes in the full graph
  * @param node_dim           feature width (words per node)
  * @param die_busy_ms        optional per-die busy wall time; a die is

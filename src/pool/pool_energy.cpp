@@ -60,7 +60,7 @@ pool_schedule_energy(const SimResult &sched, double clock_mhz,
     out.idle_mj = platform_idle_power_w(Platform::kFpga) *
         static_cast<double>(idle) / cycles_per_ms;
     out.compute_mj = out.busy_mj + out.idle_mj;
-    out.total_mj = out.compute_mj + out.link_mj + out.halo_mj;
+    out.total_mj = out.compute_mj + out.link_mj + out.ghost_mj;
     out.graphs_per_kj = 1e6 / out.total_mj;
     return out;
 }

@@ -40,12 +40,12 @@ std::uint64_t provisioned_die_cycles(const SimResult &sched);
  *
  * @param sched      outcome of simulate_pool_schedule
  * @param clock_mhz  engine clock used to convert cycles to wall time
- * @param link_words total inter-die halo words moved by the trace's
- *                   jobs (0 for unsharded pools)
- * @param replication_factor average node replication across shard
- *                   closures (1.0 for unsharded pools)
+ * @param link_words total inter-die exchange words moved by the
+ *                   trace's jobs (0 for unsharded pools)
+ * @param replication_factor average node copies across dies, owners
+ *                   plus ghost fringes (1.0 for unsharded pools)
  * @param graph_nodes total nodes processed across the trace (scales
- *                   the halo-storage term)
+ *                   the ghost-storage term)
  * @param node_dim   feature width in words
  */
 MultiDieEnergy pool_schedule_energy(const SimResult &sched,

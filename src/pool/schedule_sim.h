@@ -19,7 +19,9 @@
  *  - layer-boundary preemption (kPriority/kEdf): an arriving
  *    more-urgent job evicts the least-urgent running task at its next
  *    boundary multiple; the remainder (plus a checkpoint overhead)
- *    requeues — mirroring Engine::run_resumable;
+ *    requeues — mirroring Engine::run_resumable. Each task yields on
+ *    its own, so one chain of a sharded job can be evicted while the
+ *    others run; the live pool yields the whole job at once;
  *  - elastic capacity: an AutoscalerPolicy stepped on exact windowed
  *    busy-die means and queue depths, its active-die cap applied to
  *    dispatch and its decision sequence recorded for pinning.

@@ -12,8 +12,12 @@ namespace flowgnn {
 
 /** One admitted job: immutable inputs (prepared sample, plan, opts)
  * plus mutable dispatch/completion state guarded by the scheduler
- * mutex. Each task writes only its own results slot, so slices of one
- * job can run on many dies without further synchronization. */
+ * mutex. A job leases `width` dies. Task 0 leads: it runs the job — a
+ * one-die engine run, or the ghost run of a sharded job. The other
+ * width - 1 tasks hold the further dies a sharded job models until
+ * that run ends, so occupancy and the policy's width rules see the
+ * job's real width. Only the leading task touches the run's state
+ * (plan, checkpoints, results) outside the mutex. */
 struct PoolScheduler::Job {
     enum class Deliver { kRun, kSharded };
 
@@ -29,32 +33,32 @@ struct PoolScheduler::Job {
     std::uint64_t id = 0;       ///< admission order
     std::uint64_t enq_ns = 0;   ///< admit instant on the trace clock
     GraphSample prepared;
-    /** Ghost-mode job: layers are exchange-synchronous, so the slices
-     * cannot be scheduled independently. The job is one indivisible
-     * task — run_ghost_plan threads its modeled dies internally — and
-     * occupies one host die for its duration. */
-    bool ghost = false;
-    GhostPlan ghost_plan;
-    ShardedRunResult ghost_result;
-    ShardPlan plan;
-    LinkConfig link{};
     RunOptions opts;
-    std::vector<RunResult> results; ///< one slot per slice
+    /** Sharded jobs: the ghost plan (moved into the run, stashed back
+     * when the run yields) and the link it was priced on. */
+    GhostPlan plan;
+    LinkConfig link{};
+    /** Dies the job leases: the plan's effective P, 1 for one-die
+     * jobs. */
+    std::size_t width = 1;
+    /** Tasks of the current round on a die or dropped (a round ends
+     * when every task has returned; a preempted job starts anew). */
     std::size_t next_task = 0;
-    std::size_t done_tasks = 0;
+    std::size_t done_tasks = 0; ///< tasks of the round returned
+    bool run_over = false;      ///< the leading task's run returned
+    bool yielded = false;       ///< ... at a layer boundary
     bool dispatched_any = false;
-    /** Tasks preempted at a layer boundary, waiting to resume. */
-    std::vector<std::size_t> requeued;
-    /** Per-task layer-boundary checkpoints (engine tasks). */
-    std::vector<LayerCheckpoint> task_ckpts;
-    /** Ghost jobs: the functional pass's resume state. */
+    /** Layer-boundary resume points (one-die / sharded jobs). */
+    LayerCheckpoint ckpt;
     GhostResumeState ghost_resume;
+    RunResult result;                ///< one-die jobs
+    ShardedRunResult sharded_result; ///< sharded jobs
 
-    /** Tasks still needing a die (undispatched + requeued). */
+    /** Tasks of the round still needing a die. */
     std::size_t
     remaining() const
     {
-        return results.size() - next_task + requeued.size();
+        return width - next_task;
     }
     std::exception_ptr error;
     std::chrono::steady_clock::time_point enqueued{};
@@ -141,8 +145,10 @@ PoolScheduler::decide_now(const Job *urgent)
             urgent_at = queue_view_.size();
         QueuedJob q;
         q.remaining = job->remaining();
-        q.width = job->results.size() - job->done_tasks;
-        q.started = job->dispatched_any;
+        q.width = job->width - job->done_tasks;
+        // Per round: a requeued (yielded) job goes through the width
+        // rule again when it resumes.
+        q.started = job->next_task > 0;
         q.priority = job->spec.priority;
         q.admit = job->admit_tick;
         q.deadline = job->deadline_tick;
@@ -159,7 +165,9 @@ PoolScheduler::decide_now(const Job *urgent)
         t.priority = r.job->spec.priority;
         t.deadline = r.job->deadline_tick;
         t.finish = r.finish;
-        t.yielding = die_tokens_[d]->requested();
+        // A holding task cannot yield on its own: its job yields
+        // through the leading task, which frees every die it holds.
+        t.yielding = r.task != 0 || die_tokens_[d]->requested();
         running_view_.push_back(t);
         running_dies_.push_back(d);
     }
@@ -183,9 +191,36 @@ PoolScheduler::try_pick(Dispatch &out)
     if (dec.pick == PolicyDecision::kNone)
         return false; // blocked, or scaled down: leave the die parked
     out.job = queue_[dec.pick];
-    out.task = out.job->requeued.empty() ? out.job->next_task
-                                         : out.job->requeued.back();
+    out.task = out.job->next_task;
     return true;
+}
+
+bool
+PoolScheduler::run_task(std::size_t die, Job &job, unsigned leased)
+{
+    Engine &engine = pool_.engine(die);
+    RunOptions opts = job.opts;
+    if (config_.enable_preemption)
+        opts.preempt = die_tokens_[die].get();
+    if (job.sharded_path) {
+        job.sharded_result = run_ghost_plan(
+            model_, engine.config(), SampleRef(job.prepared),
+            std::move(job.plan), opts, job.link,
+            config_.enable_preemption ? &job.ghost_resume : nullptr,
+            leased);
+        if (!job.ghost_resume.preempted)
+            return false;
+        job.plan = std::move(job.ghost_resume.plan);
+        return true;
+    }
+    RunWorkspace &ws = pool_.workspace(die);
+    if (!config_.enable_preemption) {
+        job.result = engine.run_prepared(job.prepared, opts, ws);
+        return false;
+    }
+    return engine.run_resumable(SampleRef(job.prepared), opts, ws,
+                                job.ckpt, job.result, std::size_t(-1),
+                                1) == SegmentOutcome::kPreempted;
 }
 
 void
@@ -208,7 +243,7 @@ PoolScheduler::die_loop(std::size_t die)
             continue;
         }
 
-        // ---- Dispatch d.task of d.job onto this die. ----
+        // ---- Lease this die to task d.task of d.job. ----
         obs::TraceSession *session = obs::TraceSession::current();
         Job &job = *d.job;
         if (!job.dispatched_any) {
@@ -221,29 +256,26 @@ PoolScheduler::die_loop(std::size_t die)
                 session->span(obs::Track::kPool, "queue-wait",
                               job.enq_ns, session->now_ns());
         }
-        if (!job.requeued.empty() && d.task == job.requeued.back())
-            job.requeued.pop_back(); // resuming a preempted task
-        else
-            ++job.next_task;
+        const bool leads = d.task == 0;
+        ++job.next_task;
         ++tasks_running_;
-        if (job.next_task == job.results.size() &&
-            job.requeued.empty()) {
+        if (job.next_task == job.width) {
             // Fully dispatched: leaves the pending queue (freeing
-            // admission capacity) while its tasks finish on the dies.
+            // admission capacity) while its tasks run on the dies.
             queue_.erase(
                 std::find(queue_.begin(), queue_.end(), d.job));
             admit_.notify_one();
         }
         // Record what this die runs and when it should finish, if
         // the submitter provided an estimate — the inputs to EASY
-        // reservations and preemption victim selection. A gang's
-        // tasks start together, so they share one finish estimate.
+        // reservations and preemption victim selection. A job's tasks
+        // run together, so they share one finish estimate.
         running_[die] = Running{
             d.job, d.task,
             job.est_task == kNoTick ? kNoTick
                                     : job.start_tick + job.est_task};
-        // Other idle dies may now have work (e.g. the rest of a
-        // gang-started job's tasks).
+        // Other idle dies may now have work (e.g. the rest of the
+        // job's tasks).
         work_.notify_all();
         pool_.lease(die);
         busy_dies_gauge_.set(static_cast<double>(tasks_running_));
@@ -260,67 +292,68 @@ PoolScheduler::die_loop(std::size_t die)
                              static_cast<double>(tasks_running_));
             lease_start_ns = session->now_ns();
         }
+
+        if (leads) {
+            // Let idle dies take the holding tasks first, so the run
+            // starts with the job's whole width leased whenever the
+            // pool has room for it.
+            work_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
+                Dispatch next;
+                return job.next_task == job.width || !try_pick(next) ||
+                       next.job != d.job;
+            });
+            // The held dies' host threads would otherwise sit idle: the
+            // run uses one per leased die (bit-identical at any count).
+            const auto leased = static_cast<unsigned>(job.next_task);
+            lock.unlock();
+            bool yielded = false;
+            std::exception_ptr error;
+            try {
+                yielded = run_task(die, job, leased);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            die_tokens_[die]->reset(); // never leak into the next lease
+            lock.lock();
+            job.run_over = true;
+            job.yielded = yielded;
+            if (error && !job.error)
+                job.error = error;
+            // Holding tasks that never reached a die have nothing left
+            // to hold.
+            if (job.next_task < job.width) {
+                job.done_tasks += job.width - job.next_task;
+                job.next_task = job.width;
+                queue_.erase(
+                    std::find(queue_.begin(), queue_.end(), d.job));
+                admit_.notify_one();
+            }
+            held_.notify_all();
+        } else {
+            held_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
+                return job.run_over;
+            });
+        }
+        const bool finished = job.run_over && !job.yielded && !job.error;
         lock.unlock();
 
-        bool ok = true;
-        bool preempted = false;
-        RunResult result;
-        std::exception_ptr error;
-        PreemptToken &token = *die_tokens_[die];
-        try {
-            Engine &engine = pool_.engine(die);
-            RunOptions opts = job.opts;
-            GhostResumeState *resume = nullptr;
-            if (config_.enable_preemption) {
-                opts.preempt = &token;
-                resume = &job.ghost_resume;
-            }
-            if (job.ghost) {
-                job.ghost_result = run_ghost_plan(
-                    model_, engine.config(), SampleRef(job.prepared),
-                    std::move(job.ghost_plan), opts, job.link, resume, 1);
-                if (job.ghost_resume.preempted) {
-                    preempted = true;
-                    job.ghost_plan = std::move(job.ghost_resume.plan);
-                }
-            } else {
-                RunWorkspace &ws = pool_.workspace(die);
-                const GraphSample &g = job.plan.sharded
-                    ? job.plan.slices[d.task].sub
-                    : job.prepared;
-                if (resume)
-                    preempted = engine.run_resumable(
-                                    SampleRef(g), opts, ws,
-                                    job.task_ckpts[d.task], result,
-                                    std::size_t(-1), 1) ==
-                        SegmentOutcome::kPreempted;
-                else
-                    result = engine.run_prepared(g, opts, ws);
-            }
-        } catch (...) {
-            ok = false;
-            error = std::current_exception();
-        }
-        token.reset(); // never leak a request into the next lease
         pool_.release(die);
         if (session) {
             // Drop the engine's cycle-domain unit trace onto the same
-            // timeline, anchored at the instant this lease began.
-            if (ok && !preempted && !result.stats.trace.empty())
+            // timeline, anchored at the instant this lease began (a
+            // ghost run emits its modeled per-die timeline itself).
+            if (leads && finished && !job.sharded_path &&
+                !job.result.stats.trace.empty())
                 session->add_cycle_trace(
-                    result.stats.trace,
+                    job.result.stats.trace,
                     obs::CycleClockMap{lease_start_ns,
-                                       result.stats.clock_mhz});
-            char nm[48];
-            if (job.ghost)
+                                       job.result.stats.clock_mhz});
+            char nm[64];
+            if (job.sharded_path)
                 std::snprintf(nm, sizeof nm,
-                              "lease: job %llu (ghost)",
-                              static_cast<unsigned long long>(job.id));
-            else if (job.plan.sharded)
-                std::snprintf(nm, sizeof nm,
-                              "lease: job %llu slice %zu/%zu",
+                              "lease: job %llu die %zu/%zu",
                               static_cast<unsigned long long>(job.id),
-                              d.task, job.results.size());
+                              d.task, job.width);
             else
                 std::snprintf(nm, sizeof nm, "lease: job %llu",
                               static_cast<unsigned long long>(job.id));
@@ -335,35 +368,31 @@ PoolScheduler::die_loop(std::size_t die)
         if (session)
             session->counter(obs::Track::kPool, "busy dies",
                              static_cast<double>(tasks_running_));
-        if (preempted) {
-            // Yielded at a layer boundary: the checkpoint lives in
-            // the job; requeue the task and let try_pick hand the die
-            // to whoever is more urgent now.
-            preempt_ctr_.add(1);
-            job.requeued.push_back(d.task);
-            if (std::find(queue_.begin(), queue_.end(), d.job) ==
-                queue_.end())
-                queue_.insert(std::find_if(queue_.begin(), queue_.end(),
-                                           [&](const JobPtr &other) {
-                                               return other->id > job.id;
-                                           }),
-                              d.job);
-            queue_depth_gauge_.set(static_cast<double>(queue_.size()));
-            work_.notify_all();
-            continue;
-        }
-        job.results[d.task] = std::move(result);
-        if (!ok && !job.error)
-            job.error = error;
         ++job.done_tasks;
-        bool job_done = job.done_tasks == job.results.size();
         // A die freed up: gang starts that did not fit may fit now.
         work_.notify_all();
-        if (job_done) {
-            lock.unlock();
-            finalize(d.job); // merge is real work; never under the lock
-            lock.lock();
+        if (job.done_tasks < job.width)
+            continue;
+        if (job.yielded) {
+            // Yielded at a layer boundary with every lease returned:
+            // the checkpoint lives in the job; requeue it at its
+            // admission position for a new round of leases.
+            preempt_ctr_.add(1);
+            job.next_task = 0;
+            job.done_tasks = 0;
+            job.run_over = false;
+            job.yielded = false;
+            queue_.insert(std::find_if(queue_.begin(), queue_.end(),
+                                       [&](const JobPtr &other) {
+                                           return other->id > job.id;
+                                       }),
+                          d.job);
+            queue_depth_gauge_.set(static_cast<double>(queue_.size()));
+            continue;
         }
+        lock.unlock();
+        finalize(d.job); // delivery is real work; never under the lock
+        lock.lock();
     }
 }
 
@@ -371,21 +400,7 @@ void
 PoolScheduler::finalize(const JobPtr &jobp)
 {
     Job &job = *jobp;
-    bool ok = !job.error;
-    ShardedRunResult merged;
-    if (ok) {
-        try {
-            merged = job.ghost
-                ? std::move(job.ghost_result)
-                : merge_shard_results(model_, job.prepared,
-                                      std::move(job.plan),
-                                      std::move(job.results),
-                                      job.link);
-        } catch (...) {
-            ok = false;
-            job.error = std::current_exception();
-        }
-    }
+    const bool ok = !job.error;
 
     // Count the completion BEFORE fulfilling the promise, so a caller
     // that checks stats() right after future.get() sees it.
@@ -413,19 +428,19 @@ PoolScheduler::finalize(const JobPtr &jobp)
 
     if (job.deliver == Job::Deliver::kSharded) {
         if (ok)
-            job.sharded_promise.set_value(std::move(merged));
+            job.sharded_promise.set_value(std::move(job.sharded_result));
         else
             job.sharded_promise.set_exception(job.error);
+    } else if (!ok) {
+        job.run_promise.set_exception(job.error);
+    } else if (job.sharded_path) {
+        RunResult run;
+        run.embeddings = std::move(job.sharded_result.embeddings);
+        run.prediction = job.sharded_result.prediction;
+        run.stats = std::move(job.sharded_result.stats);
+        job.run_promise.set_value(std::move(run));
     } else {
-        if (ok) {
-            RunResult run;
-            run.embeddings = std::move(merged.embeddings);
-            run.prediction = merged.prediction;
-            run.stats = std::move(merged.stats);
-            job.run_promise.set_value(std::move(run));
-        } else {
-            job.run_promise.set_exception(job.error);
-        }
+        job.run_promise.set_value(std::move(job.result));
     }
 }
 
@@ -502,11 +517,6 @@ PoolScheduler::enqueue_fast(GraphSample sample, const RunOptions &opts,
     job->prepared = model_.prepare(sample);
     if (!job->prepared.consistent())
         throw std::invalid_argument("PoolScheduler: inconsistent sample");
-    ShardConfig whole;
-    whole.num_shards = 1;
-    job->plan = make_shard_plan(model_, job->prepared, whole);
-    job->results.resize(job->plan.slices.size());
-    job->task_ckpts.resize(job->results.size());
     std::future<RunResult> future = job->run_promise.get_future();
     admit(job);
     return future;
@@ -580,20 +590,11 @@ PoolScheduler::make_sharded_job(GraphSample sample,
     if (!job->prepared.consistent())
         throw std::invalid_argument("PoolScheduler: inconsistent sample");
     char span_name[32];
-    std::snprintf(span_name, sizeof span_name, "plan %s P=%u",
-                  clamped.mode == ShardMode::kGhostExchange ? "ghost"
-                                                            : "halo",
+    std::snprintf(span_name, sizeof span_name, "plan ghost P=%u",
                   clamped.num_shards);
     obs::Span plan_span(obs::Track::kShard, span_name);
-    if (clamped.mode == ShardMode::kGhostExchange) {
-        job->ghost = true;
-        job->ghost_plan = make_ghost_plan(model_, job->prepared, clamped);
-        job->results.resize(1); // one indivisible task
-    } else {
-        job->plan = make_shard_plan(model_, job->prepared, clamped);
-        job->results.resize(job->plan.slices.size());
-    }
-    job->task_ckpts.resize(job->results.size());
+    job->plan = make_ghost_plan(model_, job->prepared, clamped);
+    job->width = job->plan.shards.size(); // the effective P
     return job;
 }
 

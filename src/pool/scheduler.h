@@ -4,14 +4,21 @@
  * shard tasks onto a DiePool. It is the one way to serve requests.
  *
  * A job is one graph: either a whole-graph job (one die, the small
- * graph fast path) or a sharded job (a ShardPlan of P <= D slices).
- * Because slices are independent engine runs, the scheduler is free to
- * interleave slices of *different* graphs across the pool — the
- * property that keeps a multi-die machine busy when no single job can
- * use every die. Results are bit-identical to isolated runs regardless
- * of policy or interleaving: every die is a deterministic
- * cycle-stepped engine and the merge is a pure function of the
- * per-slice results.
+ * graph fast path) or a sharded job (a ghost plan over P <= D dies).
+ * A job leases as many dies as it models: a sharded job's leading task
+ * runs the ghost plan exactly as ShardedEngine does, and its other
+ * P - 1 tasks hold the remaining dies until that run completes or
+ * fails, so occupancy, utilization and the policies' width rules see
+ * the job's real width. The run starts once every idle die the policy
+ * would give the job holds one of its tasks; holds still waiting for a
+ * die when it ends are dropped, so under the gang rules (kFifoGang,
+ * kEdf) every round of a job — a resumed one too — starts with exactly
+ * P leases and under kSpaceShare / kPriority it may take fewer. The
+ * run uses one host thread per leased die. Jobs of *different* graphs share the
+ * pool — the property that keeps a multi-die machine busy when no
+ * single job can use every die. Results are bit-identical to isolated
+ * runs regardless of policy or interleaving: every run is
+ * deterministic.
  *
  * Dispatch follows PoolConfig::policy (kFifoGang, kSpaceShare,
  * kPriority, kEdf, with EASY backfill for kFifoGang): every rule, the
@@ -20,17 +27,18 @@
  * (pool/schedule_sim.h) replays. Deadline lateness and misses are
  * reported per job through pool.lateness_ms /
  * pool.deadline_misses_total whatever the policy. kPriority/kEdf
- * optionally preempt running tasks at message-passing layer boundaries
- * (PoolConfig::enable_preemption): the victim checkpoints, requeues
- * at its admission position, and later resumes bit-identically
- * (Engine::run_resumable).
+ * optionally preempt running jobs at message-passing layer boundaries
+ * (PoolConfig::enable_preemption): the victim's leading task
+ * checkpoints, every die the job holds is released, and the job
+ * requeues at its admission position and later resumes
+ * bit-identically (Engine::run_resumable / run_ghost_plan).
  *
  * Admission applies backpressure end to end: the pending-job queue
  * is bounded, and a full queue either blocks the producer
  * (AdmissionPolicy::kBlock) or sheds the job (kReject +
- * ServiceOverloaded). Planning (partitioning + halo extraction) runs
- * on the submitting thread, so an admitted job's exact width is known
- * to the scheduler and dies never burn lease time on planning.
+ * ServiceOverloaded). Planning (partitioning + ghost plan) runs on the
+ * submitting thread, so an admitted job's exact width is known to the
+ * scheduler and dies never burn lease time on planning.
  */
 #ifndef FLOWGNN_POOL_SCHEDULER_H
 #define FLOWGNN_POOL_SCHEDULER_H
@@ -84,8 +92,8 @@ struct JobSpec {
      */
     double deadline_ms = 0.0;
     /**
-     * Caller's estimate of one task's engine cycles (a slice for
-     * sharded jobs, the whole run otherwise) — the planted knowledge
+     * Caller's estimate of one task's engine cycles (every task of a
+     * job runs as long as the job's run) — the planted knowledge
      * EASY backfill needs to prove a backfilled job cannot delay the
      * reserved head. 0 = unknown: the job backfills only into dies the
      * head will not need (the extra-dies rule) and, while it runs,
@@ -161,14 +169,14 @@ struct PoolPathStats {
 
 /** Aggregate pool telemetry since construction (or last start()).
  * All *_ms fields are wall-clock milliseconds; a sharded job that was
- * clamped or lost empty slices counts die leases at its effective P
- * (plan.slices.size(), see shard/shard_plan.h), never the requested
- * num_shards. */
+ * clamped or lost empty dies counts die leases at its effective P
+ * (the ghost plan's shards.size(), see shard/shard_plan.h), never the
+ * requested num_shards. */
 struct PoolStats {
     PoolPathStats fast;    ///< whole-graph (one-die) jobs
-    PoolPathStats sharded; ///< multi-slice jobs
+    PoolPathStats sharded; ///< jobs admitted via submit_sharded*
     std::size_t jobs_pending = 0;  ///< jobs with undispatched tasks
-    std::size_t tasks_running = 0; ///< slices currently on dies
+    std::size_t tasks_running = 0; ///< tasks currently holding dies
     /** Producers blocked in submit() right now (kBlock backpressure;
      * the deterministic sync point tests use instead of sleeping). */
     std::size_t blocked_producers = 0;
@@ -247,14 +255,12 @@ class PoolScheduler
                                   const JobSpec &spec);
 
     /**
-     * Admits one sharded job: the sample is planned into
-     * min(shard.num_shards, num_dies) slices (clamped so a job can
-     * never be wider than the pool) and its tasks dispatch per the
-     * pool policy. The future carries the merged ShardedRunResult —
-     * identical to ShardedEngine::run with the same clamped config.
-     * Ghost-mode jobs (ShardMode::kGhostExchange) are layer-synchronous
-     * and schedule as one indivisible task on one host die; the ghost
-     * executor models its P dies internally.
+     * Admits one sharded job: the sample is ghost-planned across
+     * min(shard.num_shards, num_dies) dies (clamped so a job can never
+     * be wider than the pool) and the job leases one die per modeled
+     * die of the plan, dispatched per the pool policy. The future
+     * carries the ShardedRunResult — identical to ShardedEngine::run
+     * with the same clamped config.
      */
     std::future<ShardedRunResult> submit_sharded(GraphSample sample,
                                                  const ShardConfig &shard,
@@ -263,15 +269,15 @@ class PoolScheduler
                                                  const ShardConfig &shard,
                                                  const RunOptions &opts,
                                                  int priority = 0);
-    /** Full-spec sharded admission. `estimated_task_cycles` is per
-     * slice (the unit the scheduler dispatches). */
+    /** Full-spec sharded admission. `estimated_task_cycles` is the
+     * job's run (every one of its tasks lasts that long). */
     std::future<ShardedRunResult> submit_sharded(GraphSample sample,
                                                  const ShardConfig &shard,
                                                  const RunOptions &opts,
                                                  const JobSpec &spec);
 
     /**
-     * Sharded admission that delivers the merged answer as a plain
+     * Sharded admission that delivers the answer as a plain
      * RunResult (per-die breakdown dropped) — used by routing layers
      * (ShardedService) so both paths hand back one future type.
      */
@@ -330,6 +336,10 @@ class PoolScheduler
      * `urgent` (queued) asks for its preemption victims too. */
     PolicyDecision decide_now(const Job *urgent) FLOWGNN_REQUIRES(mutex_);
     bool try_pick(Dispatch &out) FLOWGNN_REQUIRES(mutex_);
+    /** Runs `job` on `die` (its leading task) with one host thread
+     * per die the job has leased; true if it yielded at a layer
+     * boundary. */
+    bool run_task(std::size_t die, Job &job, unsigned leased);
     void maybe_preempt(const Job &urgent) FLOWGNN_REQUIRES(mutex_);
     void finalize(const JobPtr &job);
     /** Nanoseconds since the scheduler's epoch: the policy tick. */
@@ -346,6 +356,7 @@ class PoolScheduler
     CondVar work_;   ///< dies: task may be pickable
     CondVar admit_;  ///< producers: queue may have room
     CondVar idle_;   ///< drain(): a job finished
+    CondVar held_;   ///< holding tasks: their job's run ended
     CondVar unpark_; ///< start()
     bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
     bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< no new submissions
@@ -356,8 +367,9 @@ class PoolScheduler
     std::size_t tasks_running_ FLOWGNN_GUARDED_BY(mutex_) = 0;
     /** Concurrency cap (autoscaler actuator); see set_active_dies. */
     std::size_t active_dies_ FLOWGNN_GUARDED_BY(mutex_);
-    /** What each die is running right now (job null when idle), with
-     * the estimated finish EASY reservations are computed from. */
+    /** What each die is running right now (job null when idle; task 0
+     * leads, others hold), with the estimated finish EASY
+     * reservations are computed from. */
     struct Running {
         JobPtr job;
         std::size_t task = 0;

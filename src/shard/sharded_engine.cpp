@@ -1,8 +1,5 @@
 #include "shard/sharded_engine.h"
 
-#include <cstdio>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "ghost/ghost_engine.h"
@@ -18,12 +15,6 @@ ShardedEngine::ShardedEngine(const Model &model, EngineConfig engine_config,
     shard_config_.validate();
 }
 
-std::uint32_t
-ShardedEngine::message_hops(const Model &model)
-{
-    return flowgnn::message_hops(model);
-}
-
 ShardedRunResult
 ShardedEngine::run(const GraphSample &sample, const RunOptions &opts) const
 {
@@ -32,65 +23,13 @@ ShardedEngine::run(const GraphSample &sample, const RunOptions &opts) const
     if (!prepared.consistent())
         throw std::invalid_argument("ShardedEngine: inconsistent sample");
 
-    // Per-layer boundary exchange replaces halo replication entirely:
-    // planning, execution, and composition all route through
-    // src/ghost. Same result shape, same exactness contract.
-    if (shard_config_.mode == ShardMode::kGhostExchange) {
-        GhostPlan ghost_plan;
-        {
-            obs::Span span(obs::Track::kShard, "ghost plan");
-            ghost_plan = make_ghost_plan(model_, prepared,
-                                         shard_config_);
-        }
-        return run_ghost_plan(model_, engine_.config(), prepared,
-                              std::move(ghost_plan), opts,
-                              shard_config_.link);
-    }
-
-    ShardPlan plan;
+    GhostPlan plan;
     {
-        obs::Span span(obs::Track::kShard, "shard plan");
-        plan = make_shard_plan(model_, prepared, shard_config_);
+        obs::Span span(obs::Track::kShard, "ghost plan");
+        plan = make_ghost_plan(model_, prepared, shard_config_);
     }
-    std::vector<RunResult> results(plan.slices.size());
-
-    if (!plan.sharded) {
-        RunWorkspace ws;
-        results[0] = engine_.run_prepared(prepared, opts, ws);
-    } else {
-        // ---- Run every die concurrently (the host-thread analogue of
-        // P dies computing in parallel). Engine::run_prepared is const
-        // and each thread owns its workspace. ----
-        std::vector<std::exception_ptr> errors(plan.slices.size());
-        {
-            std::vector<std::thread> threads;
-            threads.reserve(plan.slices.size());
-            for (std::size_t t = 0; t < plan.slices.size(); ++t) {
-                threads.emplace_back([&, t] {
-                    try {
-                        char nm[32];
-                        std::snprintf(nm, sizeof nm, "slice %zu/%zu",
-                                      t, plan.slices.size());
-                        obs::Span span(obs::Track::kShard, nm);
-                        RunWorkspace ws;
-                        results[t] = engine_.run_prepared(
-                            plan.slices[t].sub, opts, ws);
-                    } catch (...) {
-                        errors[t] = std::current_exception();
-                    }
-                });
-            }
-            for (std::thread &th : threads)
-                th.join();
-        }
-        for (const std::exception_ptr &err : errors)
-            if (err)
-                std::rethrow_exception(err);
-    }
-
-    obs::Span span(obs::Track::kShard, "merge");
-    return merge_shard_results(model_, prepared, std::move(plan),
-                               std::move(results), shard_config_.link);
+    return run_ghost_plan(model_, engine_.config(), prepared,
+                          std::move(plan), opts, shard_config_.link);
 }
 
 } // namespace flowgnn

@@ -4,28 +4,23 @@
  * one die's buffers.
  *
  * A large COO graph is split into P shards by a node-to-die
- * assignment (graph/partition.h strategies). Each die receives its
- * owned nodes plus the L-hop in-neighborhood halo (L = the model's
- * message-passing depth) and runs the unmodified single-die engine on
- * that subgraph — the halo-replication recipe of distributed GNN
- * systems (Dorylus-style ghost vertices), realized here with engine
- * replicas on host threads. Because every owned node sees its
- * complete L-hop receptive field, the merged owned-node embeddings
- * are functionally equivalent to a single-engine run; with one NT
- * unit the message arrival order is src-major on both paths, so they
- * are bit-identical.
+ * assignment (graph/partition.h strategies). Each die keeps its owned
+ * nodes plus a one-deep ghost fringe and receives the fringe's
+ * embeddings over the inter-die link before every message-passing
+ * layer — the per-layer boundary exchange of src/ghost. The answer is
+ * computed once in src-major order, the arrival order of a
+ * single-NT-unit die, so with one NT unit sharded runs are
+ * bit-identical to single-engine runs.
  *
- * Timing model: dies run concurrently; each die fetches the halo
- * slice it does not own (halo node features + the non-owned part of
- * its edge list) over an inter-die link of LinkConfig
- * bandwidth/latency. By default the fetch serializes before compute;
- * LinkConfig::overlap hides it behind the die's input DMA instead.
- * The composed RunStats takes the slowest fetch+compute chain and
- * counts the traffic as comm_cycles.
+ * Timing model: dies run concurrently; each die prices its phases over
+ * its local subgraph and pays a link transfer (LinkConfig bandwidth and
+ * latency) per exchange, serialized before the phase it feeds or, with
+ * LinkConfig::overlap, hidden behind that phase's compute. The
+ * composed RunStats takes the slowest die's chain.
  *
- * The planning/merging machinery lives in shard/shard_plan.h so the
- * die-pool scheduler (src/pool) can interleave slices of many graphs;
- * ShardedEngine is the one-job-uses-all-dies convenience wrapper.
+ * ShardedEngine is the one-job-uses-all-dies wrapper; the die-pool
+ * scheduler (src/pool) runs the same plan as a job that leases its P
+ * dies.
  */
 #ifndef FLOWGNN_SHARD_SHARDED_ENGINE_H
 #define FLOWGNN_SHARD_SHARDED_ENGINE_H
@@ -49,25 +44,17 @@ class ShardedEngine
     const Model &model() const { return model_; }
 
     /**
-     * Runs one graph across all dies and merges the answer. Models
-     * with a virtual node execute on a single die regardless of
-     * num_shards: the virtual node is connected to every node, so its
-     * 1-hop halo is the whole graph and sharding cannot help.
+     * Runs one graph across all dies. Models with a virtual node
+     * execute on a single die regardless of num_shards: the virtual
+     * node is connected to every node, so every node would be a
+     * boundary node and sharding cannot help.
      */
     ShardedRunResult run(const GraphSample &sample,
                          const RunOptions &opts = {}) const;
 
-    /**
-     * The model's message-passing depth: how many stages consume
-     * neighbor state, i.e. how many hops of halo a shard needs for
-     * exact owned-node recomputation. (Alias of the free function in
-     * shard_plan.h.)
-     */
-    static std::uint32_t message_hops(const Model &model);
-
   private:
     const Model &model_;
-    Engine engine_;
+    Engine engine_; ///< validates config and model at construction
     ShardConfig shard_config_;
 };
 

@@ -3,10 +3,11 @@
  * ShardedService: the serving entry point that makes graph size an
  * operational detail. Every submission routes into one flowgnn::pool
  * die pool: small graphs become one-die jobs (many in flight at once),
- * graphs at or above the shard threshold become multi-slice sharded
- * jobs — and the PoolScheduler interleaves both kinds over the same D
- * dies, so small traffic backfills whatever a sharded job leaves idle
- * (no dedicated worker, no partitioned replica set). Callers submit a
+ * graphs at or above the shard threshold become sharded jobs that
+ * lease one die per modeled die — and the PoolScheduler interleaves
+ * both kinds over the same D dies, so small traffic backfills whatever
+ * a sharded job leaves idle (no dedicated worker, no partitioned
+ * replica set). Callers submit a
  * GraphSample and receive a std::future<RunResult> with the pool's
  * admission-control semantics (kBlock backpressure / kReject +
  * ServiceOverloaded) on both paths.

@@ -4,8 +4,9 @@
  * execution work. ~200 seeded random graphs, rotating through every
  * model kind (all layer families) and all four pipeline modes, assert
  * that the cycle-stepped engine matches the reference executor — and
- * a second pass asserts sharded execution matches unsharded across
- * shard counts and strategies.
+ * further passes assert that sharded execution matches unsharded
+ * across shard counts and strategies (float, fixed point, preempted)
+ * and that its composed cycles obey the per-die accounting identity.
  *
  * Exactness policy mirrors test_crosscheck: with one NT unit (or an
  * analytic pipeline mode, which runs the functional callbacks in
@@ -14,6 +15,8 @@
  * float-sum reassociation may differ, so a tight tolerance applies.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/engine.h"
 #include "ghost/ghost_engine.h"
@@ -110,69 +113,11 @@ TEST(DifferentialFuzz, EngineMatchesReferenceOn200RandomGraphs)
     }
 }
 
-TEST(DifferentialFuzz, ShardedMatchesUnshardedOn56RandomGraphs)
-{
-    constexpr ShardStrategy kStrategies[] = {
-        ShardStrategy::kModulo,        ShardStrategy::kContiguous,
-        ShardStrategy::kGreedyBalanced, ShardStrategy::kBfsContiguous,
-        ShardStrategy::kLdg,           ShardStrategy::kFennel,
-        ShardStrategy::kHdrf,
-    };
-    constexpr int kCases = 56; // exactly 8 cases per strategy (i % 7)
-    for (int i = 0; i < kCases; ++i) {
-        const std::uint64_t seed = 0x5AAD0000ull + i;
-        const ModelKind kind =
-            kAllKinds[i % std::size(kAllKinds)];
-
-        const NodeId n = 60 + 4 * i;
-        CooGraph g = make_random_graph(i, n, seed);
-        const std::size_t node_dim = 8;
-        // Decorrelated from p_node so bit-exact cases also cover the
-        // per-shard edge-feature gather.
-        const std::size_t edge_dim = ((i / 2) % 2) ? 4 : 0;
-        GraphSample sample =
-            make_random_sample(std::move(g), node_dim, edge_dim,
-                               seed + 1);
-
-        EngineConfig cfg;
-        cfg.p_node = 1 + i % 2; // even cases: bit-exact path
-        ShardConfig shard;
-        shard.num_shards = 2 + i % 3;
-        shard.strategy = kStrategies[i % std::size(kStrategies)];
-
-        SCOPED_TRACE(::testing::Message()
-                     << "case " << i << ": " << model_name(kind)
-                     << " / shards=" << shard.num_shards << " / "
-                     << shard_strategy_name(shard.strategy)
-                     << " / pn=" << cfg.p_node << " / n=" << n);
-
-        Model model = make_model(kind, node_dim, edge_dim, seed);
-        RunResult single = Engine(model, cfg).run(sample);
-        ShardedRunResult sharded =
-            ShardedEngine(model, cfg, shard).run(sample);
-
-        ASSERT_EQ(sharded.embeddings.rows(), single.embeddings.rows());
-        if (cfg.p_node == 1) {
-            EXPECT_EQ(
-                max_abs_diff(sharded.embeddings, single.embeddings),
-                0.0f)
-                << "single-NT sharded runs preserve arrival order and "
-                   "must be bit-exact";
-            EXPECT_EQ(sharded.prediction, single.prediction);
-        } else {
-            EXPECT_LT(
-                max_abs_diff(sharded.embeddings, single.embeddings),
-                1e-4f);
-            EXPECT_NEAR(sharded.prediction, single.prediction, 1e-4);
-        }
-    }
-}
-
 TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
 {
-    // The ghost-mode mirror of the sharded pass above: per-layer
-    // boundary exchange instead of halo replication, same exactness
-    // policy. With one NT unit the ghost path's functional pass runs
+    // Sharded (per-layer boundary exchange) vs unsharded, same
+    // exactness policy as the engine pass above. With one NT unit the
+    // ghost path's functional pass runs
     // src-major — the same order every die and the unsharded engine
     // see — so results must be bit-identical; with more NT units the
     // unsharded engine reorders message arrival and only float-sum
@@ -202,7 +147,6 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
         ShardConfig shard;
         shard.num_shards = 2 + i % 3;
         shard.strategy = kStrategies[i % std::size(kStrategies)];
-        shard.mode = ShardMode::kGhostExchange;
 
         SCOPED_TRACE(::testing::Message()
                      << "ghost case " << i << ": " << model_name(kind)
@@ -228,6 +172,94 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
                 max_abs_diff(sharded.embeddings, single.embeddings),
                 1e-4f);
             EXPECT_NEAR(sharded.prediction, single.prediction, 1e-4);
+        }
+    }
+}
+
+TEST(DifferentialFuzz, GhostDieCyclesObeyTheAccountingIdentity)
+{
+    // Every composed number of a sharded run is a sum the test can
+    // redo from the per-die breakdown and the plan's per-exchange link
+    // cycles: for each die d,
+    //   die_cycles[d] = load + sum(phase_cycles) + head + exposed comm,
+    // where serial composition exposes sum_p comm[p] and overlap
+    // exposes sum_p max(0, comm[p] - phase_cycles[p]); the run's
+    // total is the max chain and its comm the max per-die comm sum.
+    constexpr ShardStrategy kStrategies[] = {
+        ShardStrategy::kModulo,        ShardStrategy::kContiguous,
+        ShardStrategy::kGreedyBalanced, ShardStrategy::kBfsContiguous,
+        ShardStrategy::kLdg,           ShardStrategy::kFennel,
+        ShardStrategy::kHdrf,
+    };
+    constexpr int kCases = 9; // every model kind once
+    for (int i = 0; i < kCases; ++i) {
+        const std::uint64_t seed = 0x8AAD0000ull + i;
+        const ModelKind kind = kAllKinds[i % std::size(kAllKinds)];
+        const std::size_t edge_dim = ((i / 2) % 2) ? 4 : 0;
+        GraphSample sample = make_random_sample(
+            make_random_graph(i, 60 + 8 * i, seed), 8, edge_dim,
+            seed + 1);
+        Model model = make_model(kind, 8, edge_dim, seed);
+        const GraphSample prepared = model.prepare(sample);
+        EngineConfig cfg;
+        cfg.p_node = 1 + i % 2;
+        for (ShardStrategy strategy : kStrategies) {
+            for (bool overlap : {false, true}) {
+                ShardConfig shard;
+                shard.num_shards = 2 + i % 3;
+                shard.strategy = strategy;
+                shard.link.overlap = overlap;
+                SCOPED_TRACE(::testing::Message()
+                             << "case " << i << ": " << model_name(kind)
+                             << " / " << shard_strategy_name(strategy)
+                             << " / P=" << shard.num_shards
+                             << (overlap ? " / overlap" : " / serial"));
+
+                GhostPlan plan = make_ghost_plan(model, prepared, shard);
+                std::vector<std::vector<std::uint64_t>> comm;
+                for (const GhostShard &die : plan.shards)
+                    comm.push_back(die.layer_comm_cycles);
+                const bool sharded = plan.sharded;
+                ShardedRunResult r =
+                    run_ghost_plan(model, cfg, prepared, std::move(plan),
+                                   RunOptions{}, shard.link);
+                if (!sharded) {
+                    EXPECT_TRUE(r.stats.die_cycles.empty());
+                    continue; // the whole-graph fallback composes nothing
+                }
+
+                ASSERT_EQ(r.shards.size(), comm.size());
+                ASSERT_EQ(r.stats.die_cycles.size(), comm.size());
+                std::uint64_t max_chain = 0;
+                std::uint64_t max_comm = 0;
+                for (std::size_t d = 0; d < comm.size(); ++d) {
+                    const RunStats &s = r.shards[d].stats;
+                    std::uint64_t phases = 0;
+                    for (std::uint64_t c : s.phase_cycles)
+                        phases += c;
+                    std::uint64_t exposed = 0;
+                    std::uint64_t comm_sum = 0;
+                    for (std::size_t p = 0; p < comm[d].size(); ++p) {
+                        const std::uint64_t window =
+                            p < s.phase_cycles.size() ? s.phase_cycles[p]
+                                                      : 0;
+                        comm_sum += comm[d][p];
+                        exposed += !overlap ? comm[d][p]
+                            : comm[d][p] > window ? comm[d][p] - window
+                                                  : 0;
+                    }
+                    EXPECT_EQ(r.stats.die_cycles[d],
+                              s.load_cycles + phases + s.head_cycles +
+                                  exposed)
+                        << "die " << d;
+                    EXPECT_EQ(r.shards[d].comm_cycles, comm_sum)
+                        << "die " << d;
+                    max_chain = std::max(max_chain, r.stats.die_cycles[d]);
+                    max_comm = std::max(max_comm, comm_sum);
+                }
+                EXPECT_EQ(r.stats.total_cycles, max_chain);
+                EXPECT_EQ(r.stats.comm_cycles, max_comm);
+            }
         }
     }
 }
@@ -265,8 +297,6 @@ TEST(DifferentialFuzz, GhostFixedPointStaysBitExactWhenOrderPreserved)
             ShardConfig shard;
             shard.num_shards = 3;
             shard.strategy = strategy;
-            shard.mode = ShardMode::kGhostExchange;
-
             SCOPED_TRACE(::testing::Message()
                          << "fixed case " << i << ": "
                          << model_name(kind) << " / "
@@ -315,7 +345,6 @@ TEST(DifferentialFuzz, GhostPreemptAtEveryLayerBitIdentical)
         ShardConfig shard;
         shard.num_shards = 3;
         shard.strategy = strategy;
-        shard.mode = ShardMode::kGhostExchange;
         SCOPED_TRACE(::testing::Message()
                      << shard_strategy_name(strategy));
 

@@ -3,9 +3,9 @@
  * flowgnn::ghost tests: ghost-set construction and local graphs pinned
  * on hand-checkable graphs, per-layer exchange word counts against the
  * planner's published schedule, degenerate shapes (empty boundaries,
- * n < P), partition sharing with the halo planner, the resident-
- * footprint advantage on power-law graphs, layered comm composition,
- * and the pool's single-task ghost-job path.
+ * n < P), the shared partition entry point, the resident footprint on
+ * power-law graphs, layered comm composition, and the pool's ghost
+ * job leasing one die per modeled die.
  */
 #include <gtest/gtest.h>
 
@@ -60,7 +60,6 @@ TEST(GhostPlan, ChainGhostSetsAndLocalGraphsByHand)
     ShardConfig cfg;
     cfg.num_shards = 2;
     cfg.strategy = ShardStrategy::kContiguous;
-    cfg.mode = ShardMode::kGhostExchange;
     GhostPlan plan = make_ghost_plan(model, prepared, cfg);
 
     ASSERT_TRUE(plan.sharded);
@@ -71,7 +70,7 @@ TEST(GhostPlan, ChainGhostSetsAndLocalGraphsByHand)
     EXPECT_EQ(d0.locals, (std::vector<NodeId>{0, 1, 2}));
     EXPECT_EQ(d0.is_owned, (std::vector<std::uint8_t>{1, 1, 0}));
     EXPECT_EQ(d0.info.owned_nodes, 2u);
-    EXPECT_EQ(d0.info.halo_nodes, 1u); // ghost count
+    EXPECT_EQ(d0.info.ghost_nodes, 1u); // ghost count
     // Edges into {0,1}: (0,1),(1,0),(2,1) — 3 local edges, one fetched
     // across the cut.
     EXPECT_EQ(d0.local_graph.num_nodes, 3u);
@@ -81,7 +80,7 @@ TEST(GhostPlan, ChainGhostSetsAndLocalGraphsByHand)
     const GhostShard &d1 = plan.shards[1];
     EXPECT_EQ(d1.locals, (std::vector<NodeId>{1, 2, 3}));
     EXPECT_EQ(d1.is_owned, (std::vector<std::uint8_t>{0, 1, 1}));
-    EXPECT_EQ(d1.info.halo_nodes, 1u);
+    EXPECT_EQ(d1.info.ghost_nodes, 1u);
     EXPECT_EQ(d1.local_graph.edges.size(), 3u);
 
     // Local endpoints are remapped into each die's `locals` index
@@ -110,16 +109,14 @@ TEST(GhostPlan, WordCountsFollowPublishedExchangeSchedule)
     ShardConfig cfg;
     cfg.num_shards = 2;
     cfg.strategy = ShardStrategy::kContiguous;
-    cfg.mode = ShardMode::kGhostExchange;
     GhostPlan plan = make_ghost_plan(model, prepared, cfg);
     ASSERT_TRUE(plan.sharded);
 
-    // One exchange per neighbor-consuming stage — the same count the
-    // halo planner calls message hops.
+    // One exchange per neighbor-consuming stage (message_hops).
     std::size_t exchanges = 0;
     for (std::uint8_t x : plan.exchange_at_stage)
         exchanges += x;
-    EXPECT_EQ(exchanges, ShardedEngine::message_hops(model));
+    EXPECT_EQ(exchanges, message_hops(model));
 
     const std::uint64_t meta_words = 3; // id + 2 degrees, no DGN field
     std::uint64_t per_ghost_words = meta_words;
@@ -173,14 +170,13 @@ TEST(GhostPlan, EmptyBoundaryPaysNoCommAtAll)
     ShardConfig cfg;
     cfg.num_shards = 2;
     cfg.strategy = ShardStrategy::kContiguous;
-    cfg.mode = ShardMode::kGhostExchange;
     GhostPlan plan = make_ghost_plan(model, prepared, cfg);
 
     ASSERT_TRUE(plan.sharded);
     EXPECT_EQ(plan.cut_edges, 0u);
     EXPECT_DOUBLE_EQ(plan.replication_factor, 1.0);
     for (const GhostShard &shard : plan.shards) {
-        EXPECT_EQ(shard.info.halo_nodes, 0u);
+        EXPECT_EQ(shard.info.ghost_nodes, 0u);
         EXPECT_EQ(shard.info.exchange_send_words, 0u);
         EXPECT_EQ(shard.info.exchange_recv_words, 0u);
         EXPECT_EQ(shard.info.comm_cycles, 0u);
@@ -208,7 +204,6 @@ TEST(GhostPlan, FewerNodesThanShardsDropsEmptyDies)
     ShardConfig cfg;
     cfg.num_shards = 8;
     cfg.strategy = ShardStrategy::kContiguous;
-    cfg.mode = ShardMode::kGhostExchange;
     GhostPlan plan = make_ghost_plan(model, prepared, cfg);
 
     ASSERT_TRUE(plan.sharded);
@@ -239,7 +234,6 @@ TEST(GhostPlan, SingleShardAndVirtualNodeFallBackUnsharded)
     Model gcn = make_model(ModelKind::kGcn, 9, 3);
     ShardConfig one;
     one.num_shards = 1;
-    one.mode = ShardMode::kGhostExchange;
     GhostPlan p1 = make_ghost_plan(gcn, gcn.prepare(sample), one);
     EXPECT_FALSE(p1.sharded);
     ASSERT_EQ(p1.shards.size(), 1u);
@@ -248,7 +242,6 @@ TEST(GhostPlan, SingleShardAndVirtualNodeFallBackUnsharded)
     Model vn = make_model(ModelKind::kGinVn, 9, 3);
     ShardConfig four;
     four.num_shards = 4;
-    four.mode = ShardMode::kGhostExchange;
     GhostPlan p4 = make_ghost_plan(vn, vn.prepare(sample), four);
     EXPECT_FALSE(p4.sharded)
         << "the virtual node makes every vertex a boundary vertex";
@@ -256,7 +249,7 @@ TEST(GhostPlan, SingleShardAndVirtualNodeFallBackUnsharded)
 
 // ---- Partition sharing ------------------------------------------------
 
-TEST(GhostPlan, SharesAssignmentWithHaloPlannerIncludingRestream)
+TEST(GhostPlan, UsesShardPlanAssignmentIncludingRestream)
 {
     Rng rng(0x64);
     GraphSample sample = make_random_sample(
@@ -268,23 +261,22 @@ TEST(GhostPlan, SharesAssignmentWithHaloPlannerIncludingRestream)
     cfg.num_shards = 4;
     cfg.strategy = ShardStrategy::kFennel;
     cfg.restream_passes = 2;
-    cfg.mode = ShardMode::kGhostExchange;
 
     GhostPlan ghost = make_ghost_plan(model, prepared, cfg);
     EXPECT_EQ(ghost.assignment,
               shard_plan_assignment(prepared.graph, cfg))
-        << "halo and ghost mode must shard identically so mode flips "
-           "change timing, never placement";
+        << "the plan must place nodes exactly as the shared partition "
+           "entry point does, restreaming included";
 }
 
 // ---- The capacity story -----------------------------------------------
 
-TEST(GhostEngine, ResidentFootprintBeatsHaloOnPowerLawGraph)
+TEST(GhostEngine, ResidentFootprintStaysNearNOverPOnPowerLawGraph)
 {
-    // On a power-law graph the 2-hop halo closure saturates toward the
-    // whole graph per die; the ghost fringe stays cut-sized. Peak
-    // per-die resident words must be well below halo's, with smaller
-    // replication, while both modes produce the same answer.
+    // On a power-law graph every die keeps its owned share plus a
+    // cut-sized ghost fringe: peak per-die resident words stay well
+    // below the whole graph's, while the answer stays the one-die
+    // answer.
     Rng rng(0x65);
     GraphSample sample = make_random_sample(
         make_barabasi_albert(4000, 8, rng), 16, 0, 0x651);
@@ -292,20 +284,20 @@ TEST(GhostEngine, ResidentFootprintBeatsHaloOnPowerLawGraph)
     EngineConfig ecfg;
     ecfg.p_node = 1;
 
-    ShardConfig halo;
-    halo.num_shards = 8;
-    halo.strategy = ShardStrategy::kFennel;
-    ShardConfig ghost = halo;
-    ghost.mode = ShardMode::kGhostExchange;
+    ShardConfig one;
+    one.num_shards = 1;
+    ShardConfig eight;
+    eight.num_shards = 8;
+    eight.strategy = ShardStrategy::kFennel;
 
-    ShardedRunResult rh = ShardedEngine(model, ecfg, halo).run(sample);
-    ShardedRunResult rg = ShardedEngine(model, ecfg, ghost).run(sample);
+    ShardedRunResult r1 = ShardedEngine(model, ecfg, one).run(sample);
+    ShardedRunResult r8 = ShardedEngine(model, ecfg, eight).run(sample);
 
-    EXPECT_TRUE(rg.embeddings == rh.embeddings)
-        << "mode changes the timing model, never the math";
-    EXPECT_LT(peak_resident(rg), peak_resident(rh) / 2)
-        << "ghost state must stay ~n/P where halo closures saturate";
-    EXPECT_LT(rg.replication_factor, rh.replication_factor);
+    EXPECT_TRUE(r8.embeddings == r1.embeddings)
+        << "sharding changes the timing model, never the math";
+    EXPECT_LT(peak_resident(r8), peak_resident(r1) / 2)
+        << "ghost state must stay ~n/P plus the fringe";
+    EXPECT_LT(r8.replication_factor, 8.0);
 }
 
 // ---- Layered comm composition -----------------------------------------
@@ -319,7 +311,6 @@ TEST(GhostEngine, LayeredCommComposesSerialChainsExactly)
     ShardConfig cfg;
     cfg.num_shards = 4;
     cfg.strategy = ShardStrategy::kContiguous;
-    cfg.mode = ShardMode::kGhostExchange;
     ShardedRunResult r = ShardedEngine(model, {}, cfg).run(sample);
 
     ASSERT_EQ(r.shards.size(), 4u);
@@ -349,7 +340,6 @@ TEST(GhostEngine, OverlapHidesExchangesAndKeepsTheAnswer)
 
     ShardConfig serial;
     serial.num_shards = 4;
-    serial.mode = ShardMode::kGhostExchange;
     ShardConfig overlapped = serial;
     overlapped.link.overlap = true;
 
@@ -369,7 +359,7 @@ TEST(GhostEngine, OverlapHidesExchangesAndKeepsTheAnswer)
 
 // ---- Pool integration -------------------------------------------------
 
-TEST(GhostPool, PoolGhostJobMatchesDirectRunOnOneLease)
+TEST(GhostPool, PoolGhostJobMatchesDirectRunOnPLeases)
 {
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     GraphSample sample = make_random_sample(
@@ -380,7 +370,6 @@ TEST(GhostPool, PoolGhostJobMatchesDirectRunOnOneLease)
     ShardConfig shard;
     shard.num_shards = 4;
     shard.strategy = ShardStrategy::kContiguous;
-    shard.mode = ShardMode::kGhostExchange;
 
     ShardedRunResult direct =
         ShardedEngine(model, ecfg, shard).run(sample);
@@ -395,16 +384,30 @@ TEST(GhostPool, PoolGhostJobMatchesDirectRunOnOneLease)
     EXPECT_TRUE(pooled.embeddings == direct.embeddings);
     EXPECT_EQ(pooled.prediction, direct.prediction);
     EXPECT_EQ(pooled.stats.total_cycles, direct.stats.total_cycles);
-    EXPECT_EQ(pooled.shards.size(), direct.shards.size());
+    EXPECT_EQ(pooled.stats.die_cycles, direct.stats.die_cycles);
+    ASSERT_EQ(pooled.shards.size(), direct.shards.size());
+    for (std::size_t d = 0; d < direct.shards.size(); ++d) {
+        EXPECT_EQ(pooled.shards[d].stats.total_cycles,
+                  direct.shards[d].stats.total_cycles)
+            << "die " << d;
+        EXPECT_EQ(pooled.shards[d].stats.phase_cycles,
+                  direct.shards[d].stats.phase_cycles)
+            << "die " << d;
+        EXPECT_EQ(pooled.shards[d].comm_cycles,
+                  direct.shards[d].comm_cycles)
+            << "die " << d;
+    }
 
-    // Layer-synchronous ghost jobs are one indivisible task: exactly
-    // one die lease, not one per modeled die.
+    // The job leases every die it models: one lease per modeled die,
+    // all held at once.
     PoolStats st = scheduler.stats();
     std::size_t leases = 0;
     for (const DieStats &d : st.dies)
         leases += d.leases;
-    EXPECT_EQ(leases, 1u);
+    EXPECT_EQ(leases, direct.shards.size());
+    EXPECT_EQ(st.peak_busy_dies, direct.shards.size());
     EXPECT_EQ(st.sharded.completed, 1u);
+    EXPECT_EQ(st.tasks_running, 0u);
 }
 
 } // namespace

@@ -3,20 +3,25 @@
  * flowgnn::pool tests: schedule-simulator policy semantics (exact
  * makespans for gang head-of-line blocking, space-share backfill,
  * priority aging), pool scheduling correctness (fast-path and sharded
- * jobs bit-identical to isolated runs under every policy), the
- * concurrency acceptance bar (two P=2 jobs fill a D=4 pool), admission
+ * jobs bit-identical to isolated runs under every policy), die leases
+ * equal to the dies a job models (clamped jobs, two P=2 jobs filling a
+ * D=4 pool, gang starts waiting for the full width), admission
  * control, fail-fast construction, per-run options, latency telemetry,
- * a failure inside one die failing only its own job, and the mixed
- * small/sharded stress run through the pooled ShardedService.
+ * a failure inside one die failing only its own job and returning its
+ * leases, and the mixed small/sharded stress run through the pooled
+ * ShardedService.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <sstream>
 #include <thread>
 
 #include "datasets/dataset.h"
 #include "graph/generators.h"
+#include "obs/trace_session.h"
 #include "pool/schedule_sim.h"
 #include "shard/sharded_engine.h"
 #include "shard/sharded_service.h"
@@ -173,8 +178,85 @@ TEST(PoolScheduler, ClampsJobsWiderThanThePool)
     pool.num_dies = 2;
     PoolScheduler scheduler(model, {}, pool);
     ShardedRunResult r = scheduler.submit_sharded(sample, shard).get();
+    scheduler.drain();
     EXPECT_EQ(r.shards.size(), 2u)
         << "a job can never be wider than the pool";
+    // Leases equal modeled dies: the clamped job models 2 dies and
+    // holds both.
+    PoolStats st = scheduler.stats();
+    std::size_t leases = 0;
+    for (const DieStats &d : st.dies)
+        leases += d.leases;
+    EXPECT_EQ(leases, 2u);
+    EXPECT_EQ(st.peak_busy_dies, 2u);
+}
+
+/** [first lease start, last lease end] (µs) of pool job `id` in a
+ * Chrome trace; {-1, -1} when the job never leased a die. */
+std::pair<double, double>
+lease_window(const std::string &json, std::uint64_t id)
+{
+    const std::string key = "\"name\": \"lease: job " + std::to_string(id);
+    double first = -1.0;
+    double last = -1.0;
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        const char next = json[at + key.size()];
+        if (next != '"' && next != ' ')
+            continue; // "job 1" must not match "job 12"
+        const std::size_t ts = json.find("\"ts\": ", at);
+        const std::size_t dur = json.find("\"dur\": ", at);
+        const double start = std::strtod(json.c_str() + ts + 6, nullptr);
+        const double end =
+            start + std::strtod(json.c_str() + dur + 7, nullptr);
+        if (first < 0.0 || start < first)
+            first = start;
+        last = std::max(last, end);
+    }
+    return {first, last};
+}
+
+TEST(PoolScheduler, GangGhostJobWaitsForItsFullWidth)
+{
+    // D=2, kFifoGang, paused backlog: a one-die job holds a die, so a
+    // P=2 ghost job behind it must not take the other die — its first
+    // lease starts only after the one-die job returned its lease, and
+    // then it holds both dies.
+    Model model = make_model(ModelKind::kGcn16, 16, 0);
+    GraphSample single = make_random_sample(
+        make_ring_lattice(20000, 2), 16, 0, 0x5A1);
+    GraphSample wide = make_random_sample(
+        make_ring_lattice(4000, 2), 16, 0, 0x5A2);
+
+    obs::TraceSession session;
+    session.install();
+    PoolConfig pool;
+    pool.num_dies = 2;
+    pool.policy = PoolPolicy::kFifoGang;
+    pool.start_paused = true;
+    PoolScheduler scheduler(model, {}, pool);
+    ShardConfig two;
+    two.num_shards = 2;
+    auto f1 = scheduler.submit(single);
+    auto f2 = scheduler.submit_sharded(wide, two);
+    scheduler.start();
+    EXPECT_NO_THROW(f1.get());
+    ShardedRunResult r2 = f2.get();
+    scheduler.drain();
+    session.uninstall();
+
+    std::ostringstream os;
+    session.write_chrome_trace(os);
+    const auto [s1, e1] = lease_window(os.str(), 1);
+    const auto [s2, e2] = lease_window(os.str(), 2);
+    ASSERT_GE(s1, 0.0);
+    ASSERT_GE(s2, 0.0);
+    EXPECT_GE(s2, e1) << "the gang start needs both dies free";
+    EXPECT_EQ(r2.shards.size(), 2u);
+    std::size_t leases = 0;
+    for (const DieStats &d : scheduler.stats().dies)
+        leases += d.leases;
+    EXPECT_EQ(leases, 3u) << "1 for the one-die job + 2 for the P=2 job";
 }
 
 // ---- The acceptance bar: concurrent sharded jobs -----------------------
@@ -255,16 +337,10 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
     ShardedEngine e2(model, cfg, p2);
     ShardedEngine e3(model, cfg, p3);
     Engine e1(model, cfg);
-    auto task_cycles = [](const ShardedRunResult &r) {
-        std::vector<std::uint64_t> cycles;
-        for (const ShardInfo &info : r.shards)
-            cycles.push_back(info.stats.total_cycles +
-                             info.comm_cycles);
-        return cycles;
-    };
+    // One task per modeled die, each as long as its die's chain.
     std::vector<SimJob> trace;
-    trace.push_back({task_cycles(e2.run(wide2)), 0, 0});
-    trace.push_back({task_cycles(e3.run(wide3)), 0, 0});
+    trace.push_back({e2.run(wide2).stats.die_cycles, 0, 0});
+    trace.push_back({e3.run(wide3).stats.die_cycles, 0, 0});
     trace.push_back({{e1.run(single_a).stats.total_cycles}, 0, 0});
     trace.push_back({{e1.run(single_b).stats.total_cycles}, 0, 0});
 
@@ -584,10 +660,12 @@ TEST(PoolScheduler, DieFailureFailsOnlyItsOwnJob)
     // A sample whose node_dim (8) does not match the model (16) passes
     // prepare() and consistent() on the submitting thread, then throws
     // from Model::check_sample on the die. Among good jobs, under gang
-    // and space-share, as a one-die job and as a sharded P=2 job: only
-    // its future throws, every other job stays bit-identical to
-    // Engine::run, exactly one failure is counted on its path, the
-    // leases come back, and drain() returns.
+    // and space-share, as a one-die job and as a sharded P=2 job (the
+    // leading task throws while the other task holds the second die):
+    // only its future throws, every other job stays bit-identical to
+    // Engine::run, exactly one failure is counted on its path, every
+    // lease it took comes back, drain() returns, and the pool still
+    // completes the next job.
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     EngineConfig cfg;
     cfg.p_node = 1;
@@ -610,12 +688,12 @@ TEST(PoolScheduler, DieFailureFailsOnlyItsOwnJob)
             pool.policy = policy;
             pool.start_paused = true;
             PoolScheduler scheduler(model, cfg, pool);
+            ShardConfig two;
+            two.num_shards = 2;
 
             std::vector<std::future<RunResult>> fs;
             for (int i = 0; i < 3; ++i)
                 fs.push_back(scheduler.submit(good[i]));
-            ShardConfig two;
-            two.num_shards = 2;
             std::future<RunResult> fbad = sharded
                 ? scheduler.submit_sharded_as_run(bad, two, RunOptions{})
                 : scheduler.submit(bad);
@@ -642,6 +720,29 @@ TEST(PoolScheduler, DieFailureFailsOnlyItsOwnJob)
                       1u);
             EXPECT_EQ(scheduler.pool().busy(), 0u);
             EXPECT_EQ(st.tasks_running, 0u);
+            std::size_t leases = 0;
+            for (const DieStats &d : st.dies)
+                leases += d.leases;
+            if (policy == PoolPolicy::kFifoGang) {
+                EXPECT_EQ(leases, sharded ? 8u : 7u)
+                    << "6 good one-die jobs + the failed job's width";
+            } else {
+                // Space sharing starts the P=2 job on the first free
+                // die; its holding task gets the second die only if
+                // one frees before the run throws.
+                EXPECT_GE(leases, 7u);
+                EXPECT_LE(leases, sharded ? 8u : 7u);
+            }
+
+            // The pool is whole again: a following sharded job takes
+            // both dies and completes.
+            ShardedRunResult after =
+                scheduler.submit_sharded(good[5], two).get();
+            EXPECT_EQ(after.shards.size(), 2u);
+            scheduler.drain();
+            EXPECT_EQ(scheduler.stats().sharded.completed, 1u);
+            EXPECT_EQ(scheduler.stats().tasks_running, 0u);
+            EXPECT_EQ(scheduler.pool().busy(), 0u);
         }
     }
 }

@@ -26,6 +26,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "graph/generators.h"
@@ -634,6 +636,59 @@ TEST(EnginePreemption, TokenYieldsAtNextBoundaryWithProgress)
     EXPECT_EQ(got.stats.total_cycles, ref.stats.total_cycles);
 }
 
+TEST(EnginePreemption, CorruptCheckpointAggregationStateIsRejected)
+{
+    // A checkpoint whose pending aggregation state does not match the
+    // resumed stage must fail with a diagnosis before any node's state
+    // is read — a truncated agg_state used to be read out of bounds,
+    // and a missing one dereferenced as null.
+    Model model = make_model(ModelKind::kGin, 9, 3);
+    Engine engine(model, {});
+    GraphSample sample = make_random_sample(
+        testing::make_random_graph(3, 60, 0x540), 9, 3, 0x541);
+    RunWorkspace ws;
+    RunResult got;
+    LayerCheckpoint ckpt;
+    ASSERT_EQ(engine.run_resumable(SampleRef(sample), RunOptions{}, ws,
+                                   ckpt, got, /*max_stages=*/1),
+              SegmentOutcome::kPreempted);
+    ASSERT_TRUE(ckpt.have_agg);
+    ASSERT_FALSE(ckpt.agg_state.empty());
+
+    // Half the state, in a block of exactly that size: any read past
+    // it leaves the allocation (what ASan reported before the check).
+    LayerCheckpoint truncated = ckpt;
+    truncated.agg_state.assign(ckpt.agg_state.begin(),
+                               ckpt.agg_state.begin() +
+                                   ckpt.agg_state.size() / 2);
+    truncated.agg_state.shrink_to_fit();
+    EXPECT_THROW(engine.run_resumable(SampleRef(sample), RunOptions{}, ws,
+                                      truncated, got),
+                 std::invalid_argument);
+
+    LayerCheckpoint stray = ckpt;
+    stray.have_agg = false; // state present, but flagged absent
+    EXPECT_THROW(engine.run_resumable(SampleRef(sample), RunOptions{}, ws,
+                                      stray, got),
+                 std::invalid_argument);
+
+    // No state at all where the resumed GIN stage consumes messages.
+    LayerCheckpoint missing = ckpt;
+    missing.have_agg = false;
+    missing.agg_state.clear();
+    EXPECT_THROW(engine.run_resumable(SampleRef(sample), RunOptions{}, ws,
+                                      missing, got),
+                 std::invalid_argument);
+
+    // The intact checkpoint still resumes to the uninterrupted answer.
+    ASSERT_EQ(engine.run_resumable(SampleRef(sample), RunOptions{}, ws,
+                                   ckpt, got),
+              SegmentOutcome::kComplete);
+    RunResult ref = engine.run(sample);
+    EXPECT_TRUE(got.embeddings == ref.embeddings);
+    EXPECT_EQ(got.stats.total_cycles, ref.stats.total_cycles);
+}
+
 // ---- Live pool: deadlines, elasticity, preemption ----------------------
 
 TEST(PoolSchedulerSlo, DeadlineMetricsAndJobSpecAdmission)
@@ -761,6 +816,123 @@ TEST(PoolSchedulerSlo, LivePreemptionKeepsResultsBitIdentical)
         << "the 16 layer boundaries leave ample room to yield";
 }
 
+/** The die leases of pool job `id` in a Chrome trace, as {start, end}
+ * in µs. */
+std::vector<std::pair<double, double>>
+lease_spans_us(const std::string &json, std::uint64_t id)
+{
+    const std::string key = "\"name\": \"lease: job " + std::to_string(id);
+    std::vector<std::pair<double, double>> spans;
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        const char next = json[at + key.size()];
+        if (next != '"' && next != ' ')
+            continue; // "job 1" must not match "job 12"
+        const std::size_t ts = json.find("\"ts\": ", at);
+        const std::size_t dur = json.find("\"dur\": ", at);
+        const double start = std::strtod(json.c_str() + ts + 6, nullptr);
+        spans.emplace_back(
+            start, start + std::strtod(json.c_str() + dur + 7, nullptr));
+    }
+    return spans;
+}
+
+/** Earliest start (µs) of the die leases of pool job `id` in a Chrome
+ * trace, or -1 when the job never leased a die. */
+double
+first_lease_us(const std::string &json, std::uint64_t id)
+{
+    double first = -1.0;
+    for (const auto &[start, end] : lease_spans_us(json, id))
+        if (first < 0.0 || start < first)
+            first = start;
+    return first;
+}
+
+TEST(PoolSchedulerSlo, LivePreemptionOfAShardedJobReleasesEveryDie)
+{
+    // Two dies, priority and EDF policies with preemption. A less
+    // urgent P=2 sharded job holds both dies when a more urgent
+    // one-die job is admitted: the sharded job's leading task yields
+    // at a layer boundary, both of its dies are released, the urgent
+    // job runs, and the sharded job resumes — bit-identical to an
+    // isolated run. Under kEdf (a gang rule) every round of the
+    // sharded job, the resumed one included, starts only with both
+    // dies free: no lease of it starts while the urgent job runs.
+    Model model = make_model(ModelKind::kGcn16, 16, 0);
+    EngineConfig cfg;
+    cfg.p_node = 1;
+    GraphSample long_job = make_random_sample(
+        make_ring_lattice(100000, 2), 16, 0, 0x5B0);
+    GraphSample urgent = make_random_sample(
+        make_ring_lattice(20000, 2), 16, 0, 0x5B1);
+    ShardConfig two;
+    two.num_shards = 2;
+    ShardedRunResult il = ShardedEngine(model, cfg, two).run(long_job);
+    RunResult iu = Engine(model, cfg).run(urgent);
+
+    for (PoolPolicy policy : {PoolPolicy::kPriority, PoolPolicy::kEdf}) {
+        SCOPED_TRACE(pool_policy_name(policy));
+        PoolConfig pool;
+        pool.num_dies = 2;
+        pool.policy = policy;
+        pool.enable_preemption = true;
+        pool.start_paused = true;
+        obs::TraceSession session;
+        session.install();
+        PoolScheduler scheduler(model, cfg, pool);
+
+        JobSpec low;
+        low.priority = 0;
+        low.deadline_ms = 1e6;
+        auto fl =
+            scheduler.submit_sharded(long_job, two, RunOptions{}, low);
+        scheduler.start();
+        // Wait until the sharded job holds both dies, then admit the
+        // urgent one mid-run.
+        while (scheduler.stats().peak_busy_dies < 2)
+            std::this_thread::yield();
+        JobSpec high;
+        high.priority = 5;
+        high.deadline_ms = 1.0;
+        auto fu = scheduler.submit(urgent, RunOptions{}, high);
+        ShardedRunResult rl = fl.get();
+        RunResult ru = fu.get();
+        scheduler.drain();
+        session.uninstall();
+
+        EXPECT_TRUE(rl.embeddings == il.embeddings);
+        EXPECT_EQ(rl.prediction, il.prediction);
+        EXPECT_EQ(rl.stats.total_cycles, il.stats.total_cycles);
+        EXPECT_EQ(rl.stats.die_cycles, il.stats.die_cycles);
+        EXPECT_TRUE(ru.embeddings == iu.embeddings);
+        PoolStats st = scheduler.stats();
+        EXPECT_GE(st.preemptions, 1u)
+            << "the urgent job arrives while the functional pass is in "
+               "its first layers";
+        if (policy == PoolPolicy::kEdf) {
+            std::size_t leases = 0;
+            for (const DieStats &d : st.dies)
+                leases += d.leases;
+            EXPECT_EQ(leases, 1 + 2 * (st.preemptions + 1))
+                << "one for the urgent job, two per sharded round";
+            std::ostringstream os;
+            session.write_chrome_trace(os);
+            const auto urgent_lease = lease_spans_us(os.str(), 2);
+            ASSERT_EQ(urgent_lease.size(), 1u);
+            const auto [u_start, u_end] = urgent_lease.front();
+            for (const auto &[start, end] : lease_spans_us(os.str(), 1))
+                if (start > u_start)
+                    EXPECT_GE(start, u_end)
+                        << "a resumed round starts with both dies free";
+        }
+        EXPECT_EQ(st.tasks_running, 0u);
+        EXPECT_EQ(scheduler.pool().busy(), 0u);
+        EXPECT_EQ(st.sharded.completed, 1u);
+        EXPECT_EQ(st.fast.completed, 1u);
+    }
+}
+
 TEST(PoolSchedulerSlo, LiveEasyBackfillRunsShortJobInTheHole)
 {
     // D=2, FIFO gang with backfill. j0 (long single, with a runtime
@@ -795,8 +967,13 @@ TEST(PoolSchedulerSlo, LiveEasyBackfillRunsShortJobInTheHole)
     pool.start_paused = true;
     PoolScheduler scheduler(model, cfg, pool);
 
+    // j0's estimate must cover its wall-clock run, not just its
+    // modeled cycles: the live pool steps the cycle model on the host,
+    // ~100x slower than the modeled clock, and once j0 outlives its
+    // estimate the reservation lies in the past and proves no hole — a
+    // die that looks late would then not backfill at all.
     JobSpec js0;
-    js0.estimated_task_cycles = long_cycles;
+    js0.estimated_task_cycles = 1'000'000 * long_cycles;
     auto f0 = scheduler.submit(long_job, RunOptions{}, js0);
     JobSpec js1;
     js1.estimated_task_cycles = tiny_cycles;
@@ -819,31 +996,11 @@ TEST(PoolSchedulerSlo, LiveEasyBackfillRunsShortJobInTheHole)
     EXPECT_EQ(scheduler.stats().completed(), 3u);
 }
 
-/** Earliest start (µs) of the die leases of pool job `id` in a Chrome
- * trace, or -1 when the job never leased a die. */
-double
-first_lease_us(const std::string &json, std::uint64_t id)
-{
-    const std::string key = "\"name\": \"lease: job " + std::to_string(id);
-    double first = -1.0;
-    for (std::size_t at = json.find(key); at != std::string::npos;
-         at = json.find(key, at + 1)) {
-        const char next = json[at + key.size()];
-        if (next != '"' && next != ' ')
-            continue; // "job 1" must not match "job 12"
-        const std::size_t ts = json.find("\"ts\": ", at);
-        const double us = std::strtod(json.c_str() + ts + 6, nullptr);
-        if (first < 0.0 || us < first)
-            first = us;
-    }
-    return first;
-}
-
 TEST(PoolSchedulerSlo, LiveEasyBackfillExtraDiesRuleAdmitsLongJob)
 {
     // D=4, FIFO gang with backfill, paused backlog. j1 runs a P=2 job
     // on two dies; the head j2 needs three and blocks. Its reservation
-    // is when j1's slices finish (they share one estimate), and then
+    // is when j1's tasks finish (they share one estimate), and then
     // 2 idle + 2 freed dies leave one extra die beyond the head's
     // width. j3's estimate runs far past the reservation, so only the
     // extra-dies rule can admit it: it must start before the head,
@@ -856,7 +1013,7 @@ TEST(PoolSchedulerSlo, LiveEasyBackfillExtraDiesRuleAdmitsLongJob)
         make_ring_lattice(3000, 2), 16, 0, 0x591);
     GraphSample single = make_random_sample(
         make_ring_lattice(64, 2), 16, 0, 0x592);
-    // Generous slice estimate: the reservation lies far beyond j1's
+    // Generous task estimate: the reservation lies far beyond j1's
     // real finish, so "started by its reservation" is a wall-clock
     // fact, not a race.
     constexpr std::uint64_t kSliceCycles = 1'000'000'000'000ull;
