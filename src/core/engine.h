@@ -1,9 +1,13 @@
 /**
  * @file
  * The FlowGNN dataflow engine: a cycle-stepped microarchitecture model
- * of the accelerator in paper Fig. 3(b) that simultaneously computes
- * the GNN functionally (for cross-checking against the reference
- * executor) and counts cycles (for every latency experiment).
+ * of the accelerator in paper Fig. 3(b) that counts cycles (for every
+ * latency experiment) and computes the GNN functionally (for
+ * cross-checking against the reference executor). The two halves are
+ * separate: per stage, the timing model (core/phase_model.h) prices
+ * the phase and records the order in which each bank's MP unit
+ * completed source nodes, and the stage executor
+ * (core/stage_executor.h) replays that order to compute the values.
  *
  * Architecture modeled per pipeline phase:
  *
@@ -21,9 +25,9 @@
 #ifndef FLOWGNN_CORE_ENGINE_H
 #define FLOWGNN_CORE_ENGINE_H
 
-#include <memory>
-
 #include "core/config.h"
+#include "core/phase_model.h"
+#include "core/stage_executor.h"
 #include "core/stats.h"
 #include "graph/sample.h"
 #include "nn/model.h"
@@ -55,27 +59,17 @@ struct RunResult {
 };
 
 /**
- * Functional + timing state captured at a message-passing layer
- * boundary — the engine's preemption checkpoint format (see
- * docs/DESIGN.md "Layer-boundary preemption").
- *
- * A boundary after stage k holds exactly three pieces of state:
- * the embeddings entering stage k+1 (`embeddings`), the message
- * aggregation scattered during stage k's phase and consumed by stage
- * k+1 (`agg_state`; the Aggregator object itself is reconstructed
- * from the model, it carries no run state), and the pending-GAT flag
- * (stage k was attention: `embeddings` holds projections whose
- * combine is deferred into stage k+1's prologue). Everything else the
- * run needs — bank maps, CSR adjacency, stage schedule — is a pure
- * function of (sample, config) and is rebuilt on resume, which is
- * what makes resumed runs bit-identical to uninterrupted ones: the
- * checkpoint stores no derived state that could drift.
- *
- * `stats` carries the timing accumulated so far so the resumed run's
- * RunStats also match the uninterrupted run exactly; the scheduler
- * accounts preemption overhead (checkpoint store + reload DMA,
- * priced from checkpoint_words()) on its own ledger, never inside
- * the run.
+ * Value + timing state at a message-passing layer boundary — the
+ * preemption checkpoint format (docs/DESIGN.md "The preemption
+ * checkpoint"). After stage k it holds the embeddings entering stage
+ * k+1, the aggregation scattered during stage k's phase, and whether
+ * stage k was attention (`embeddings` then holds projections whose
+ * combine is deferred into stage k+1's prologue). Everything derived —
+ * bank maps, CSR adjacency, stage schedule — is a pure function of
+ * (sample, config) and rebuilt on resume, which is what makes resumed
+ * runs bit-identical to uninterrupted ones. `stats` carries the timing
+ * so far; the scheduler prices preemption overhead from
+ * checkpoint_words() on its own ledger, never inside the run.
  */
 struct LayerCheckpoint {
     /** Stages completed; the resume point. 0 = a fresh run. */
@@ -91,11 +85,9 @@ struct LayerCheckpoint {
     bool have_agg = false;
     /** Stage next_stage-1 was GAT: `embeddings` holds projections. */
     bool pending_gat = false;
-    /** Timing accumulated over completed stages (load DMA included,
-     * head not yet). */
+    /** Timing accumulated over completed stages (load DMA priced,
+     * head not yet; total_cycles is the phase cycles so far). */
     RunStats stats;
-    /** Timing cursor: total phase cycles completed (trace offsets). */
-    std::uint64_t phase_base = 0;
 
     /** Checkpoint size in 4-byte words — what a scheduler charges as
      * store/reload DMA when pricing preemption delay. */
@@ -114,25 +106,21 @@ enum class SegmentOutcome {
 
 /**
  * Reusable per-run scratch memory. A workspace keeps the graph-sized
- * buffers (bank maps, embedding ping-pong arrays, aggregator state)
- * alive across runs so a long-lived replica's hot path stops paying
- * per-graph allocation; each pool die owns exactly one. Not
- * thread-safe: never share one workspace between concurrent runs.
+ * buffers (bank maps, embedding ping-pong arrays, aggregator state,
+ * the MP completion order) alive across runs so a long-lived replica's
+ * hot path stops paying per-graph allocation; each pool die owns
+ * exactly one. Not thread-safe: never share one workspace between
+ * concurrent runs.
  */
 class RunWorkspace
 {
-  public:
-    RunWorkspace();
-    ~RunWorkspace();
-    RunWorkspace(RunWorkspace &&) noexcept;
-    RunWorkspace &operator=(RunWorkspace &&) noexcept;
-    RunWorkspace(const RunWorkspace &) = delete;
-    RunWorkspace &operator=(const RunWorkspace &) = delete;
-
   private:
     friend class Engine;
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
+    PricingBuffers pricing_;
+    StageBuffers values_;
+    /** The current stage's MP completion order: priced, then
+     * replayed. */
+    std::vector<MpCompletion> order_;
 };
 
 /**

@@ -4,10 +4,61 @@
 #include <stdexcept>
 
 #include "core/fifo.h"
+#include "graph/partition.h"
 
 namespace flowgnn {
 
+/**
+ * The per-stage cost constants of one model on one engine config —
+ * everything about a stage's timing that does not depend on the graph.
+ */
+struct StageSchedule {
+    bool is_gat = false; ///< MP-to-NT attention stage (2 MP rounds)
+    /** The phase runs a scatter: this GAT stage's own gather rounds,
+     * or the next NT-to-MP conv's message pass fused into this phase. */
+    bool has_scatter = false;
+    /** The stage's own input-stationary FC passes, in cycles. */
+    std::uint64_t nt_pass_cycles = 0;
+    /** Full per-node NT accumulate: the previous GAT stage's combine,
+     * a non-sum aggregator's finalize, and the FC passes. */
+    std::uint64_t acc_cycles = 0;
+    /** Elements streamed out per node (the stage's output dim). */
+    std::uint32_t stream_elems = 0;
+    /** MP cycles per granule per edge (message wider than stream). */
+    std::uint32_t expansion = 1;
+};
+
 namespace {
+
+/**
+ * Static description of one pipeline phase's work, independent of the
+ * pipeline mode.
+ */
+struct PhaseWork {
+    NodeId n_nodes = 0;
+    /** NT accumulate cycles per node (all input-stationary passes);
+     * storage lives in the caller's workspace. */
+    const std::vector<std::uint64_t> *acc_cycles = nullptr;
+    /** Elements streamed out per node (the stage's output dim). */
+    std::uint32_t stream_elems = 0;
+    bool has_scatter = false;
+    /** Extra MP cycles per granule per edge (msg wider than stream). */
+    std::uint32_t expansion = 1;
+    /** Destination-bank split per node (empty if no out-edges). */
+    const std::vector<std::vector<BankWork>> *banks = nullptr;
+};
+
+/** Everything shared by the timing back-ends for one phase. */
+struct PhaseEnv {
+    const PhaseWork &work;
+    const EngineConfig &cfg;
+    const RunOptions &opts;
+    RunStats &stats;
+    std::uint64_t base_cycle = 0; ///< absolute offset for trace events
+    /** When set, receives every final (node, bank) MP completion in
+     * completion order (see DiePricer::stage). */
+    std::vector<MpCompletion> *order = nullptr;
+};
 
 /** One entry in an adapter-to-MP queue. */
 struct QueueEntry {
@@ -161,8 +212,8 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 --unit.rem;
                 env.stats.mp_units[m].busy++;
                 if (unit.rem == 0) {
-                    if (unit.entry.final_entry && w.on_mp_complete)
-                        w.on_mp_complete(unit.entry.node, m);
+                    if (unit.entry.final_entry && env.order)
+                        env.order->push_back({unit.entry.node, m});
                     emit(TraceKind::kMpWork, m, unit.entry.node,
                          unit.entry_start, cycle);
                     unit.busy = false;
@@ -193,8 +244,8 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 --unit.rem;
                 env.stats.mp_units[m].busy++;
                 if (unit.rem == 0) {
-                    if (unit.entry.final_entry && w.on_mp_complete)
-                        w.on_mp_complete(unit.entry.node, m);
+                    if (unit.entry.final_entry && env.order)
+                        env.order->push_back({unit.entry.node, m});
                     emit(TraceKind::kMpWork, m, unit.entry.node,
                          unit.entry_start, cycle);
                     unit.busy = false;
@@ -324,8 +375,6 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
             if (unit.acc_active) {
                 --unit.acc_rem;
                 if (unit.acc_rem == 0) {
-                    if (w.on_nt_complete)
-                        w.on_nt_complete(unit.acc_node);
                     emit(TraceKind::kNtAccumulate, u, unit.acc_node,
                          unit.acc_start, cycle);
                     unit.acc_active = false;
@@ -343,8 +392,6 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                     // or a ghost node whose embedding arrived over the
                     // inter-die link): complete immediately into the
                     // pong slot.
-                    if (w.on_nt_complete)
-                        w.on_nt_complete(unit.acc_node);
                     unit.pong_full = true;
                     unit.pong_node = unit.acc_node;
                 } else {
@@ -399,11 +446,8 @@ analytic_nonpipelined(const PhaseEnv &env)
     const EngineConfig &cfg = env.cfg;
 
     std::vector<std::uint64_t> nt_unit(cfg.p_node, 0);
-    for (NodeId n = 0; n < w.n_nodes; ++n) {
+    for (NodeId n = 0; n < w.n_nodes; ++n)
         nt_unit[n % cfg.p_node] += analytic_nt_cycles(w, cfg, n);
-        if (w.on_nt_complete)
-            w.on_nt_complete(n);
-    }
     std::uint64_t nt_phase =
         *std::max_element(nt_unit.begin(), nt_unit.end());
 
@@ -416,8 +460,8 @@ analytic_nonpipelined(const PhaseEnv &env)
                 env.stats.mp_edge_work[bw.bank] +=
                     std::uint64_t(bw.edges) *
                     ceil_div_u64(w.stream_elems, cfg.p_scatter);
-                if (w.on_mp_complete)
-                    w.on_mp_complete(n, bw.bank);
+                if (env.order)
+                    env.order->push_back({n, bw.bank});
             }
         }
     }
@@ -465,8 +509,6 @@ analytic_fixed(const PhaseEnv &env)
         total += std::max(nt_c, mp_c);
         nt_busy += nt_c;
         mp_busy += mp_c;
-        if (w.on_nt_complete)
-            w.on_nt_complete(n);
     }
     if (w.n_nodes > 0)
         total += mp_total(w.n_nodes - 1);
@@ -477,8 +519,8 @@ analytic_fixed(const PhaseEnv &env)
                 env.stats.mp_edge_work[bw.bank] +=
                     std::uint64_t(bw.edges) *
                     ceil_div_u64(w.stream_elems, cfg.p_scatter);
-                if (w.on_mp_complete)
-                    w.on_mp_complete(n, bw.bank);
+                if (env.order)
+                    env.order->push_back({n, bw.bank});
             }
         }
         mp_busy += mp_total(w.n_nodes - 1);
@@ -490,8 +532,12 @@ analytic_fixed(const PhaseEnv &env)
     return total;
 }
 
-} // namespace
-
+/**
+ * Prices one phase under env.cfg.mode (cycle-stepped simulation for
+ * the queue-based modes, closed-form for the analytic ones) and
+ * returns its cycle count. env.stats must have nt_units/mp_units/
+ * mp_edge_work sized to the config's p_node/p_edge before the call.
+ */
 std::uint64_t
 run_phase(const PhaseEnv &env)
 {
@@ -508,64 +554,175 @@ run_phase(const PhaseEnv &env)
     throw std::logic_error("Engine: unknown pipeline mode");
 }
 
+/** The per-stage schedule of `model` on `cfg`, one entry per stage. */
 std::vector<StageSchedule>
 build_stage_schedule(const Model &model, const EngineConfig &cfg)
 {
     const std::size_t n_stages = model.num_stages();
     std::vector<StageSchedule> out(n_stages);
-    bool prev_was_gat = false;
-    bool have_prev_agg = false;
-    AggregatorKind prev_agg_kind = AggregatorKind::kSum;
-    std::size_t prev_agg_out_dim = 0;
-
     for (std::size_t si = 0; si < n_stages; ++si) {
         const Layer &stage = model.stage(si);
         StageSchedule &s = out[si];
         s.is_gat = (stage.dataflow() == DataflowKind::kMpToNt);
         s.stream_elems = static_cast<std::uint32_t>(stage.out_dim());
 
-        if (prev_was_gat)
-            s.prologue_cycles = ceil_div_u64(
-                model.stage(si - 1).out_dim(), cfg.p_apply);
-        if (have_prev_agg && prev_agg_kind != AggregatorKind::kSum)
-            s.finalize_cycles =
-                ceil_div_u64(prev_agg_out_dim, cfg.p_apply);
         for (std::size_t d : stage.nt_pass_dims())
             s.nt_pass_cycles += ceil_div_u64(d, cfg.p_apply);
-        s.acc_cycles =
-            s.prologue_cycles + s.finalize_cycles + s.nt_pass_cycles;
+        s.acc_cycles = s.nt_pass_cycles;
+        if (si > 0 && out[si - 1].is_gat) // the deferred combine's pass
+            s.acc_cycles += ceil_div_u64(model.stage(si - 1).out_dim(),
+                                         cfg.p_apply);
+        if (si > 0 && out[si - 1].has_scatter && !out[si - 1].is_gat) {
+            // Finalizing the aggregate the previous phase scattered.
+            const Aggregator agg = stage.aggregator();
+            if (agg.kind() != AggregatorKind::kSum)
+                s.acc_cycles += ceil_div_u64(agg.out_dim(), cfg.p_apply);
+        }
 
         // The scatter fused into this phase: either the next NT-to-MP
         // conv's message pass, or this GAT stage's own gather rounds.
         if (s.is_gat) {
             s.has_scatter = true;
             s.expansion = 1; // score / weighted sum: 1 cycle/edge/granule
-        } else if (si + 1 < n_stages) {
-            const Layer &next = model.stage(si + 1);
-            if (next.msg_dim() > 0 &&
-                next.dataflow() == DataflowKind::kNtToMp) {
-                s.has_scatter = true;
-                s.expansion = static_cast<std::uint32_t>(
-                    ceil_div_u64(next.msg_dim(), stage.out_dim()));
-            }
-        }
-
-        if (s.is_gat) {
-            prev_was_gat = true;
-            have_prev_agg = false;
-        } else if (s.has_scatter) {
-            const Layer &next = model.stage(si + 1);
-            Aggregator agg = next.aggregator();
-            prev_agg_kind = agg.kind();
-            prev_agg_out_dim = agg.out_dim();
-            have_prev_agg = true;
-            prev_was_gat = false;
-        } else {
-            have_prev_agg = false;
-            prev_was_gat = false;
+        } else if (const Layer *next = scattered_stage(model, si)) {
+            s.has_scatter = true;
+            s.expansion = static_cast<std::uint32_t>(
+                ceil_div_u64(next->msg_dim(), stage.out_dim()));
         }
     }
     return out;
+}
+
+} // namespace
+
+const Layer *
+scattered_stage(const Model &model, std::size_t si)
+{
+    if (si + 1 >= model.num_stages() ||
+        model.stage(si).dataflow() == DataflowKind::kMpToNt)
+        return nullptr;
+    const Layer &next = model.stage(si + 1);
+    return next.msg_dim() > 0 && next.dataflow() == DataflowKind::kNtToMp
+        ? &next
+        : nullptr;
+}
+
+DiePricer::~DiePricer() = default;
+
+DiePricer::DiePricer(const Model &model, const EngineConfig &cfg,
+                     const RunOptions &opts, const DieShape &die,
+                     const GraphRef &graph, PricingBuffers &buf,
+                     unsigned threads)
+    : model_(model), cfg_(cfg), opts_(opts), die_(die), buf_(buf),
+      schedule_(build_stage_schedule(model, cfg))
+{
+    // Destination-node -> MP-bank map. Modulo is the on-the-fly
+    // default; greedy balancing is the pre-processing ablation.
+    const NodeId n = die.n_nodes;
+    std::vector<std::uint32_t> &bank_of = buf.bank_of;
+    if (cfg.bank_policy == BankPolicy::kGreedyBalanced) {
+        bank_of = balanced_bank_assignment(graph, cfg.p_edge, threads);
+    } else {
+        bank_of.resize(n);
+        for (NodeId v = 0; v < n; ++v)
+            bank_of[v] = v % cfg.p_edge;
+    }
+
+    // Per-node destination-bank split, counted on the fly from the
+    // streamed edge list (no adjacency build), shared across phases.
+    const std::uint32_t pe = cfg.p_edge;
+    std::vector<std::uint32_t> &count = buf.bank_count;
+    count.assign(std::size_t(n) * pe, 0);
+    for (std::size_t e = 0; e < graph.num_edges(); ++e)
+        ++count[std::size_t(graph.src(e)) * pe + bank_of[graph.dst(e)]];
+    std::vector<std::vector<BankWork>> &banks = buf.banks;
+    if (banks.size() < n)
+        banks.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+        banks[v].clear();
+        for (std::uint32_t b = 0; b < pe; ++b)
+            if (const std::uint32_t c = count[std::size_t(v) * pe + b])
+                banks[v].push_back({b, c});
+    }
+}
+
+void
+DiePricer::begin(RunStats &stats) const
+{
+    stats = RunStats{};
+    stats.clock_mhz = cfg_.clock_mhz;
+    stats.nt_units.assign(cfg_.p_node, {});
+    stats.mp_units.assign(cfg_.p_edge, {});
+    stats.mp_edge_work.assign(cfg_.p_edge, 0);
+    // Input DMA at 64 words/cycle (a conservative fraction of the
+    // U50's 460 GB/s HBM2 bandwidth, ~380 words/cycle at 300 MHz); not
+    // overlapped with compute, as documented in docs/DESIGN.md.
+    stats.load_cycles = ceil_div_u64(die_.load_words, 64);
+}
+
+void
+DiePricer::stage(std::size_t si, RunStats &stats,
+                 std::vector<MpCompletion> *order)
+{
+    const StageSchedule &sched = schedule_[si];
+    PhaseWork w;
+    w.stream_elems = sched.stream_elems;
+    w.has_scatter = sched.has_scatter;
+    w.expansion = sched.expansion;
+    w.banks = &buf_.banks;
+    std::vector<std::uint64_t> &acc = buf_.acc;
+    if (sched.has_scatter) {
+        // Every vertex of the die's graph streams into the scatter;
+        // ghosts re-stream what they received.
+        w.n_nodes = die_.n_nodes;
+        const std::uint64_t ghost_acc =
+            sched.is_gat ? sched.nt_pass_cycles : 0;
+        acc.resize(w.n_nodes);
+        for (NodeId v = 0; v < w.n_nodes; ++v)
+            acc[v] = (die_.is_owned == nullptr || die_.is_owned[v])
+                ? sched.acc_cycles
+                : ghost_acc;
+    } else {
+        // Node-local stage: ghosts take no part at all.
+        w.n_nodes = die_.n_owned;
+        acc.assign(w.n_nodes, sched.acc_cycles);
+    }
+    w.acc_cycles = &acc;
+
+    if (order != nullptr)
+        order->clear();
+    const std::uint64_t base = stats.total_cycles;
+    std::uint64_t cycles = run_phase(
+        {w, cfg_, opts_, stats, base, sched.is_gat ? nullptr : order});
+    if (sched.is_gat) {
+        // Round 2: re-stream the projections from the node buffer
+        // (no recomputation) for the weighted sum.
+        std::fill(acc.begin(), acc.end(), 0);
+        cycles += run_phase({w, cfg_, opts_, stats, base + cycles});
+    }
+    stats.phase_cycles.push_back(cycles);
+    stats.total_cycles += cycles;
+}
+
+void
+DiePricer::finish(RunStats &stats) const
+{
+    // Epilogue: final GAT combine over the die's own vertices.
+    if (!schedule_.empty() && schedule_.back().is_gat) {
+        const std::size_t last = model_.num_stages() - 1;
+        std::uint64_t epi =
+            ceil_div_u64(die_.n_owned, cfg_.p_node) *
+            ceil_div_u64(model_.stage(last).out_dim(), cfg_.p_apply);
+        stats.phase_cycles.push_back(epi);
+        stats.total_cycles += epi;
+    }
+
+    std::uint64_t head_cycles = 0;
+    for (std::size_t l = 0; l < model_.head().num_layers(); ++l)
+        head_cycles +=
+            ceil_div_u64(model_.head().layer(l).in_dim(), cfg_.p_apply);
+    stats.head_cycles = head_cycles;
+    stats.total_cycles += head_cycles + stats.load_cycles;
 }
 
 } // namespace flowgnn

@@ -1,31 +1,30 @@
 /**
  * @file
- * The engine's phase-timing machinery, factored out of Engine so other
- * executors can drive it. A pipeline phase is described by PhaseWork —
- * node count, per-node NT accumulate cycles, output stream width, and
- * the destination-bank split of the scatter — and run_phase() prices
- * it under any of the four PipelineModes, invoking the caller's
- * functional callbacks at the microarchitecturally correct moments.
+ * The timing half of a run: it prices work and computes no value.
+ * Each pipeline phase — node count, per-node NT accumulate cycles,
+ * output stream width, the destination-bank split of the scatter — is
+ * priced under any of the four PipelineModes (cycle-stepped for the
+ * queue-based ones, closed-form for the analytic ones). The one thing
+ * about the overlapped dataflow that changes a float result is the
+ * order in which each bank's MP unit finishes source nodes, so the
+ * pricing records exactly that: every final (node, bank) MP
+ * completion, in completion order. The stage executor
+ * (core/stage_executor.h) replays it to compute the values.
  *
- * Engine builds one PhaseWork per stage over the whole graph; the
- * ghost-exchange executor (src/ghost) builds one per stage per die
- * with per-node costs that differ between owned nodes (full NT work)
- * and ghost nodes (zero-cost re-stream of an embedding received over
- * the inter-die link — the same mechanism the GAT re-stream round
- * uses). Keeping the timing model in one place is what guarantees a
- * die of the ghost executor and the single-die engine price identical
- * work identically.
- *
- * build_stage_schedule() derives the per-stage cost constants
- * (accumulate passes, stream width, scatter expansion) from a model +
- * engine config. Engine and the ghost executor both read their cost
- * numbers from it, so the two can never drift apart.
+ * DiePricer is the one pricing loop over a run — bank map and BankWork
+ * split, each stage's phase (both GAT rounds), the GAT epilogue and
+ * the head. Engine prices one die over the whole graph; the
+ * ghost-exchange executor (src/ghost) prices each die over its local
+ * subgraph, where ghost vertices (embeddings received over the
+ * inter-die link) re-stream at zero accumulate cost — the same
+ * mechanism the GAT re-stream round uses. The callers differ only in
+ * DieShape, which is what guarantees a ghost die and the single-die
+ * engine price identical work identically.
  */
 #ifndef FLOWGNN_CORE_PHASE_MODEL_H
 #define FLOWGNN_CORE_PHASE_MODEL_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/config.h"
@@ -47,74 +46,89 @@ struct BankWork {
     std::uint32_t edges;
 };
 
-/**
- * Static description of one pipeline phase's work, independent of the
- * pipeline mode. Functional computation is injected via callbacks so
- * the same timing machinery serves every phase type.
- */
-struct PhaseWork {
+/** One final MP completion: `bank`'s MP unit finished source `node`. */
+struct MpCompletion {
+    NodeId node;
+    std::uint32_t bank;
+};
+
+struct StageSchedule;
+
+/** The NT-to-MP conv whose messages stage `si`'s phase scatters (stage
+ * si + 1), or null. A GAT stage gathers its own, in the combine. */
+const Layer *scattered_stage(const Model &model, std::size_t si);
+
+/** Graph-sized pricing buffers, resized (never shrunk) per run. */
+struct PricingBuffers {
+    std::vector<std::uint32_t> bank_of; ///< destination node -> MP bank
+    std::vector<std::uint32_t> bank_count; ///< node x bank edge counts
+    std::vector<std::vector<BankWork>> banks; ///< per source node
+    std::vector<std::uint64_t> acc; ///< per-node accumulate cycles
+};
+
+/** What differs between the dies that price one model's run. */
+struct DieShape {
+    /** Vertices of the die's graph (owned + ghost on a ghost die). */
     NodeId n_nodes = 0;
-    /** NT accumulate cycles per node (all input-stationary passes);
-     * storage lives in the caller's workspace. */
-    const std::vector<std::uint64_t> *acc_cycles = nullptr;
-    /** Elements streamed out per node (the stage's output dim). */
-    std::uint32_t stream_elems = 0;
-    bool has_scatter = false;
-    /** Extra MP cycles per granule per edge (msg wider than stream). */
-    std::uint32_t expansion = 1;
-    /** Destination-bank split per node (empty if no out-edges). */
-    const std::vector<std::vector<BankWork>> *banks = nullptr;
-    /** Called once when a node's NT accumulate completes. */
-    std::function<void(NodeId)> on_nt_complete;
-    /** Called once per (node, bank) when its MP edge work completes. */
-    std::function<void(NodeId, std::uint32_t)> on_mp_complete;
-};
-
-/** Everything shared by the timing back-ends for one phase. */
-struct PhaseEnv {
-    const PhaseWork &work;
-    const EngineConfig &cfg;
-    const RunOptions &opts;
-    RunStats &stats;
-    std::uint64_t base_cycle = 0; ///< absolute offset for trace events
+    /** Vertices with NT work in node-local stages and the GAT
+     * epilogue; n_nodes on a single die. */
+    NodeId n_owned = 0;
+    /** Per vertex, 1 if owned; null when all are. A ghost vertex only
+     * re-streams its received embedding into scatter phases, at zero
+     * accumulate cost (a GAT ghost pays the local projection). */
+    const std::uint8_t *is_owned = nullptr;
+    /** Words of the die's input DMA (64 words per cycle). */
+    std::uint64_t load_words = 0;
 };
 
 /**
- * Prices one phase under env.cfg.mode (cycle-stepped simulation for
- * the queue-based modes, closed-form for the analytic ones) and
- * returns its cycle count. env.stats must have nt_units/mp_units/
- * mp_edge_work sized to the config's p_node/p_edge before the call.
+ * Prices one die's run: begin() (units, load DMA), stage() once per
+ * model stage in order, then finish() (GAT epilogue, head). Phase
+ * trace events are offset by stats.total_cycles, which until finish()
+ * is the sum of the phases priced so far.
  */
-std::uint64_t run_phase(const PhaseEnv &env);
+class DiePricer
+{
+  public:
+    /**
+     * Builds the stage schedule, the destination-bank map (modulo, or
+     * greedy-balanced per cfg.bank_policy) and each source node's
+     * BankWork split of `graph` into `buf`. `threads` parallelizes the
+     * balanced map's degree count (0 = all cores). References are
+     * borrowed for the pricer's lifetime.
+     */
+    DiePricer(const Model &model, const EngineConfig &cfg,
+              const RunOptions &opts, const DieShape &die,
+              const GraphRef &graph, PricingBuffers &buf,
+              unsigned threads = 0);
+    ~DiePricer();
 
-/**
- * The per-stage cost constants of one model on one engine config —
- * everything about a stage's timing that does not depend on the graph.
- * Indices mirror Model::stage(i).
- */
-struct StageSchedule {
-    bool is_gat = false; ///< MP-to-NT attention stage (2 MP rounds)
-    /** The phase runs a scatter: this GAT stage's own gather rounds,
-     * or the next NT-to-MP conv's message pass fused into this phase. */
-    bool has_scatter = false;
-    /** Extra NT pass charged for materializing the previous GAT
-     * stage's combine, in cycles. */
-    std::uint64_t prologue_cycles = 0;
-    /** Aggregate-finalize pass for a non-sum aggregator, in cycles. */
-    std::uint64_t finalize_cycles = 0;
-    /** The stage's own input-stationary FC passes, in cycles. */
-    std::uint64_t nt_pass_cycles = 0;
-    /** Full per-node NT accumulate: prologue + finalize + FC passes. */
-    std::uint64_t acc_cycles = 0;
-    /** Elements streamed out per node (the stage's output dim). */
-    std::uint32_t stream_elems = 0;
-    /** MP cycles per granule per edge (message wider than stream). */
-    std::uint32_t expansion = 1;
+    /** Resets `stats` to a fresh run and prices its load DMA. */
+    void begin(RunStats &stats) const;
+
+    /**
+     * Prices stage `si` (both rounds of a GAT stage) into `stats`.
+     * A given `order` is cleared and, for a non-GAT scatter phase,
+     * receives every final (node, bank) MP completion in completion
+     * order. Within one bank that is the order in which the bank's MP
+     * unit finished source nodes; the two analytic modes complete
+     * src-major (node ascending, then bank ascending).
+     */
+    void stage(std::size_t si, RunStats &stats,
+               std::vector<MpCompletion> *order = nullptr);
+
+    /** Adds the GAT epilogue (last stage attention), the head, and
+     * the load DMA to stats.total_cycles. */
+    void finish(RunStats &stats) const;
+
+  private:
+    const Model &model_;
+    const EngineConfig &cfg_;
+    const RunOptions &opts_;
+    const DieShape die_;
+    PricingBuffers &buf_;
+    std::vector<StageSchedule> schedule_;
 };
-
-/** Derives the per-stage schedule of `model` on `cfg` (see above). */
-std::vector<StageSchedule> build_stage_schedule(const Model &model,
-                                                const EngineConfig &cfg);
 
 } // namespace flowgnn
 

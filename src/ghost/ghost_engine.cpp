@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "core/phase_model.h"
-#include "graph/partition.h"
+#include "core/stage_executor.h"
 #include "obs/trace_session.h"
 
 namespace flowgnn {
@@ -13,125 +13,31 @@ namespace flowgnn {
 namespace {
 
 /**
- * Prices one die's run: the standard per-stage phase loop over the
- * die's local subgraph, with per-vertex accumulate costs split between
- * owned vertices (full NT work from the shared schedule) and ghosts
- * (zero — their embedding arrived over the link and is only
- * re-streamed into the scatter; GAT ghosts pay the local projection).
- * Callbacks are null: timing is structural, the functional answer is
- * computed once globally by the caller.
+ * Prices one die's run over its local subgraph: owned vertices pay
+ * full NT work, ghosts only re-stream into the scatter (see DieShape).
+ * The die loads only its owned vertices' records and its local edges;
+ * ghost slots cost one id word each (their payload arrives over the
+ * link, priced separately).
  */
 RunStats
-price_ghost_die(const GhostShard &shard,
-                const std::vector<StageSchedule> &schedule,
-                const Model &model, const EngineConfig &cfg,
-                const RunOptions &opts, std::size_t node_dim,
-                std::size_t edge_dim)
+price_ghost_die(const GhostShard &shard, const Model &model,
+                const EngineConfig &cfg, const RunOptions &opts,
+                std::size_t node_dim, std::size_t edge_dim)
 {
-    const NodeId n_locals = shard.local_graph.num_nodes;
-    const NodeId n_owned =
-        static_cast<NodeId>(shard.info.owned_nodes);
-    const std::uint64_t n_ghosts = shard.info.ghost_nodes;
-
+    const DieShape die{
+        .n_nodes = shard.local_graph.num_nodes,
+        .n_owned = static_cast<NodeId>(shard.info.owned_nodes),
+        .is_owned = shard.is_owned.data(),
+        .load_words = shard.info.owned_nodes * (node_dim + 1) +
+                      shard.local_graph.edges.size() * (edge_dim + 2) +
+                      shard.info.ghost_nodes};
+    PricingBuffers buf;
+    DiePricer pricer(model, cfg, opts, die, shard.local_graph, buf, 1);
     RunStats stats;
-    stats.clock_mhz = cfg.clock_mhz;
-    stats.nt_units.assign(cfg.p_node, {});
-    stats.mp_units.assign(cfg.p_edge, {});
-    stats.mp_edge_work.assign(cfg.p_edge, 0);
-
-    // Input DMA: the die loads only its owned vertices' records and
-    // its local edges; ghost slots cost one id word each (their
-    // payload arrives over the link, priced separately).
-    stats.load_cycles = ceil_div_u64(
-        std::uint64_t(n_owned) * (node_dim + 1) +
-            std::uint64_t(shard.local_graph.edges.size()) *
-                (edge_dim + 2) +
-            n_ghosts,
-        64);
-
-    // Destination-bank split over the local subgraph, mirroring the
-    // engine's policy choice on local ids.
-    std::vector<std::uint32_t> bank_of;
-    if (cfg.bank_policy == BankPolicy::kGreedyBalanced) {
-        bank_of = balanced_bank_assignment(shard.local_graph,
-                                           cfg.p_edge);
-    } else {
-        bank_of.resize(n_locals);
-        for (NodeId v = 0; v < n_locals; ++v)
-            bank_of[v] = v % cfg.p_edge;
-    }
-    const CsrGraph csr(shard.local_graph);
-    std::vector<std::vector<BankWork>> banks(n_locals);
-    {
-        std::vector<std::uint32_t> count(cfg.p_edge, 0);
-        for (NodeId v = 0; v < n_locals; ++v) {
-            std::fill(count.begin(), count.end(), 0);
-            for (std::size_t s = csr.row_begin(v); s < csr.row_end(v);
-                 ++s)
-                ++count[bank_of[csr.dst(s)]];
-            for (std::uint32_t b = 0; b < cfg.p_edge; ++b)
-                if (count[b] > 0)
-                    banks[v].push_back({b, count[b]});
-        }
-    }
-
-    std::vector<std::uint64_t> acc;
-    std::vector<std::uint64_t> acc_zero;
-    std::uint64_t phase_base = 0;
-    for (const StageSchedule &sched : schedule) {
-        PhaseWork w;
-        w.stream_elems = sched.stream_elems;
-        w.has_scatter = sched.has_scatter;
-        w.expansion = sched.expansion;
-        if (sched.has_scatter) {
-            // Exchange-fed phase: ghosts participate in the scatter.
-            w.n_nodes = n_locals;
-            w.banks = &banks;
-            acc.resize(n_locals);
-            const std::uint64_t ghost_acc =
-                sched.is_gat ? sched.nt_pass_cycles : 0;
-            for (NodeId v = 0; v < n_locals; ++v)
-                acc[v] =
-                    shard.is_owned[v] ? sched.acc_cycles : ghost_acc;
-        } else {
-            // Node-local stage: ghosts take no part at all.
-            w.n_nodes = n_owned;
-            acc.assign(n_owned, sched.acc_cycles);
-        }
-        w.acc_cycles = &acc;
-
-        PhaseEnv env{w, cfg, opts, stats, phase_base};
-        std::uint64_t cycles = run_phase(env);
-        if (sched.is_gat) {
-            // Round 2: zero-cost re-stream for the weighted sum,
-            // exactly as in the engine.
-            PhaseWork w2 = w;
-            acc_zero.assign(w.n_nodes, 0);
-            w2.acc_cycles = &acc_zero;
-            PhaseEnv env2{w2, cfg, opts, stats, phase_base + cycles};
-            cycles += run_phase(env2);
-        }
-        phase_base += cycles;
-        stats.phase_cycles.push_back(cycles);
-        stats.total_cycles += cycles;
-    }
-
-    // Epilogue: final GAT combine over owned vertices only.
-    if (!schedule.empty() && schedule.back().is_gat) {
-        const std::size_t last = model.num_stages() - 1;
-        std::uint64_t epi =
-            ceil_div_u64(n_owned, cfg.p_node) *
-            ceil_div_u64(model.stage(last).out_dim(), cfg.p_apply);
-        stats.phase_cycles.push_back(epi);
-        stats.total_cycles += epi;
-    }
-
-    std::uint64_t head_cycles = 0;
-    for (std::size_t l = 0; l < model.head().num_layers(); ++l)
-        head_cycles +=
-            ceil_div_u64(model.head().layer(l).in_dim(), cfg.p_apply);
-    stats.head_cycles = head_cycles;
-    stats.total_cycles += head_cycles + stats.load_cycles;
+    pricer.begin(stats);
+    for (std::size_t si = 0; si < model.num_stages(); ++si)
+        pricer.stage(si, stats);
+    pricer.finish(stats);
     return stats;
 }
 
@@ -240,13 +146,14 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         return out;
     }
 
+    config.validate();
+    check_stage_dataflow(model);
+
     // ---- Per-die timing, one thread per die ----
     // Timing is structural: it needs no value of the functional pass,
     // so a run that cannot yield prices its dies alongside that pass.
     // A preemptible run prices once, after the segment that completes.
     // (jthreads: joined on every exit path, exceptions included.)
-    const std::vector<StageSchedule> schedule =
-        build_stage_schedule(model, config);
     const std::size_t node_dim = prepared.node_dim;
     const std::size_t edge_dim = prepared.edge_dim;
     std::vector<RunStats> per_die(plan.shards.size());
@@ -261,8 +168,8 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
                     s->name_thread(obs::Track::kGhost, nm);
                 obs::Span span(obs::Track::kGhost, nm);
                 per_die[t] =
-                    price_ghost_die(plan.shards[t], schedule, model,
-                                    config, opts, node_dim, edge_dim);
+                    price_ghost_die(plan.shards[t], model, config,
+                                    opts, node_dim, edge_dim);
             });
         }
     };
@@ -270,41 +177,37 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         start_pricing();
 
     // ---- Global functional pass, src-major order ----
-    // The values are computed once over the whole graph. The
-    // non-pipelined analytic mode runs the functional callbacks in
-    // src-major order at O(V + E) per stage — the same order a
-    // single-NT-unit die sees, which is what makes ghost runs
-    // bit-identical to unsharded single-NT runs (and keeps the result
-    // invariant in the shard count). Quantization points are the
-    // engine's own, and since its quantizer is idempotent, the
-    // re-quantization at every boundary crossing is value-preserving.
-    EngineConfig func_cfg = config;
-    func_cfg.mode = PipelineMode::kNonPipelined;
-    RunWorkspace func_ws;
-    RunResult func;
+    // The values are computed once over the whole graph, scattering
+    // src-major — the order a single-NT-unit die sees, which is what
+    // makes ghost runs bit-identical to unsharded single-NT runs (and
+    // keeps the result invariant in the shard count). Quantization
+    // points are the engine's own, and since its quantizer is
+    // idempotent, the re-quantization at every boundary crossing is
+    // value-preserving. Only this pass checkpoints: it is the sole
+    // carrier of values.
     {
         obs::Span span(obs::Track::kGhost, "functional pass");
-        Engine func_engine(model, func_cfg);
-        if (resume != nullptr) {
-            // Only the functional pass checkpoints: it is the sole
-            // carrier of values.
-            if (func_engine.run_resumable(prepared, opts, func_ws,
-                                          resume->checkpoint, func,
-                                          resume->max_stages,
-                                          host_cores) ==
-                SegmentOutcome::kPreempted) {
+        LayerCheckpoint fresh;
+        StageBuffers buf;
+        StageExecutor exec(model, prepared, opts, buf,
+                           resume ? resume->checkpoint : fresh,
+                           host_cores);
+        while (!exec.done()) {
+            exec.run_stage();
+            if (resume != nullptr &&
+                exec.should_yield(resume->max_stages)) {
+                exec.checkpoint(resume->checkpoint);
                 resume->preempted = true;
                 resume->plan = std::move(plan);
                 return out;
             }
-            resume->preempted = false;
-        } else {
-            func = func_engine.run_prepared(prepared, opts, func_ws,
-                                            host_cores);
         }
+        if (resume != nullptr) {
+            resume->preempted = false;
+            resume->checkpoint = LayerCheckpoint{};
+        }
+        exec.finish(out.embeddings, out.prediction);
     }
-    out.embeddings = std::move(func.embeddings);
-    out.prediction = func.prediction;
 
     if (resume != nullptr)
         start_pricing();

@@ -1,18 +1,19 @@
 /**
  * @file
- * Execution of a GhostPlan: per-die timing through the shared phase
- * model (src/core/phase_model.h) plus one global functional pass.
+ * Execution of a GhostPlan: each die priced by the engine's own
+ * DiePricer (src/core/phase_model.h) over its local subgraph, plus one
+ * global functional pass on the engine's StageExecutor
+ * (src/core/stage_executor.h).
  *
- * The engine's timing is purely structural — cycle counts depend on
- * graph shape and layer dims, never on embedding values — so a ghost
- * run splits cleanly: each die prices its phases over its local
- * subgraph (owned vertices pay full NT work; ghost vertices re-stream
- * their received embeddings at zero accumulate cost, GAT ghosts pay
- * the local projection), while the functional answer is computed once
- * globally in src-major order. Src-major is exactly the arrival order
- * of a single-NT-unit die, so ghost results are bit-identical to
- * unsharded single-NT runs and within float-reassociation tolerance
- * of multi-NT ones.
+ * Timing is purely structural — cycle counts depend on graph shape and
+ * layer dims, never on embedding values — so a ghost run splits
+ * cleanly: each die prices its phases (owned vertices pay full NT
+ * work; ghost vertices re-stream their received embeddings at zero
+ * accumulate cost, GAT ghosts pay the local projection), while the
+ * values are computed once globally, scattering src-major. Src-major
+ * is exactly the arrival order of a single-NT-unit die, so ghost
+ * results are bit-identical to unsharded single-NT runs and within
+ * float-reassociation tolerance of multi-NT ones.
  *
  * Per-layer exchange cycles compose through compose_shard_stats:
  * serial by default, or hidden behind each phase's compute window
@@ -69,7 +70,8 @@ ShardedRunResult run_ghost_plan(const Model &model,
 struct GhostResumeState {
     /** True iff the last call yielded instead of completing. */
     bool preempted = false;
-    /** The functional pass's layer-boundary checkpoint. */
+    /** The functional pass's layer-boundary checkpoint (a sharded
+     * plan's holds values only: its dies are priced at completion). */
     LayerCheckpoint checkpoint;
     /** The plan, stashed across the preemption (valid iff preempted). */
     GhostPlan plan;

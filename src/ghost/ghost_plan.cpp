@@ -4,18 +4,9 @@
 #include <atomic>
 
 #include "core/parallel.h"
+#include "core/phase_model.h"
 
 namespace flowgnn {
-
-namespace {
-
-std::uint64_t
-ceil_div(std::uint64_t a, std::uint64_t b)
-{
-    return (a + b - 1) / b;
-}
-
-} // namespace
 
 GhostPlan
 make_ghost_plan(const Model &model, const GraphSample &prepared,
@@ -262,8 +253,8 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
             // Full-duplex link: the exchange lasts as long as the
             // longer of the two streams, plus the fixed latency.
             shard.layer_comm_cycles[si] =
-                ceil_div(std::max(send, recv),
-                         config.link.words_per_cycle) +
+                ceil_div_u64(std::max(send, recv),
+                             config.link.words_per_cycle) +
                 config.link.latency_cycles;
             shard.info.comm_cycles += shard.layer_comm_cycles[si];
         }

@@ -15,7 +15,8 @@
  *
  * Constants are calibrated so the six paper models land near Table III
  * and preserve its ordering (PNA/GAT DSP-heavy, PNA BRAM-heavy, GCN
- * lightest). EXPERIMENTS.md records the deviations.
+ * lightest). docs/DESIGN.md "Paper-fidelity gaps (measured, not yet
+ * explained)" records where the modeled numbers still miss the paper.
  */
 #ifndef FLOWGNN_PERF_RESOURCES_H
 #define FLOWGNN_PERF_RESOURCES_H

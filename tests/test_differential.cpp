@@ -9,16 +9,17 @@
  * and that its composed cycles obey the per-die accounting identity.
  *
  * Exactness policy mirrors test_crosscheck: with one NT unit (or an
- * analytic pipeline mode, which runs the functional callbacks in
- * src-major order) message arrival equals the reference's src-major
- * order, so results must be bit-identical; with more NT units only
- * float-sum reassociation may differ, so a tight tolerance applies.
+ * analytic pipeline mode, whose recorded MP completion order is
+ * src-major) message arrival equals the reference's src-major order,
+ * so results must be bit-identical; with more NT units only float-sum
+ * reassociation may differ, so a tight tolerance applies.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/engine.h"
+#include "core/phase_model.h"
 #include "ghost/ghost_engine.h"
 #include "shard/sharded_engine.h"
 #include "tensor/ops.h"
@@ -110,6 +111,88 @@ TEST(DifferentialFuzz, EngineMatchesReferenceOn200RandomGraphs)
                         1e-3 + 1e-3 * std::abs(expected_pred));
         }
         EXPECT_GT(result.stats.total_cycles, 0u);
+    }
+}
+
+TEST(DifferentialFuzz, MpOrderScattersEveryEdgeOnceInBankOrder)
+{
+    // The recorded MP completion order is the only thing timing hands
+    // to the value computation. For every non-GAT scatter phase it must
+    // name each (node, bank) pair that has edges in that bank exactly
+    // once, so the replay scatters every edge exactly once; where the
+    // order is fixed statically — the analytic modes, or one NT unit —
+    // it must also be src-major (the analytic modes globally, one NT
+    // unit within each bank).
+    constexpr ModelKind kKinds[] = {ModelKind::kGin, ModelKind::kGcn,
+                                    ModelKind::kPna, ModelKind::kGat};
+    int i = 0;
+    for (PipelineMode mode : kAllModes) {
+        for (std::uint32_t pn = 1; pn <= 2; ++pn) {
+            for (std::uint32_t pe = 1; pe <= 4; ++pe) {
+                for (ModelKind kind : kKinds) {
+                    const std::uint64_t seed = 0x5AAD0000ull + i;
+                    GraphSample sample = make_random_sample(
+                        make_random_graph(i, 30 + (i % 7) * 5, seed), 8,
+                        0, seed + 1);
+                    ++i;
+                    Model model = make_model(kind, 8, 0, seed);
+                    const GraphSample prepared = model.prepare(sample);
+                    EngineConfig cfg;
+                    cfg.mode = mode;
+                    cfg.p_node = pn;
+                    cfg.p_edge = pe;
+                    SCOPED_TRACE(::testing::Message()
+                                 << pipeline_mode_name(mode) << " / pn="
+                                 << pn << " / pe=" << pe << " / "
+                                 << model_name(kind));
+
+                    const NodeId n = prepared.num_nodes();
+                    const DieShape die{.n_nodes = n, .n_owned = n};
+                    const RunOptions opts;
+                    PricingBuffers buf;
+                    DiePricer pricer(model, cfg, opts, die, prepared.graph,
+                                     buf, 1);
+                    RunStats stats;
+                    pricer.begin(stats);
+                    std::vector<MpCompletion> order;
+                    auto key = [](const MpCompletion &c) {
+                        return std::pair(c.node, c.bank);
+                    };
+                    for (std::size_t si = 0; si < model.num_stages(); ++si) {
+                        pricer.stage(si, stats, &order);
+                        if (scattered_stage(model, si) == nullptr) {
+                            EXPECT_TRUE(order.empty()) << "stage " << si;
+                            continue;
+                        }
+                        std::vector<std::pair<NodeId, std::uint32_t>> want,
+                            got;
+                        for (NodeId v = 0; v < n; ++v)
+                            for (const BankWork &bw : buf.banks[v])
+                                want.emplace_back(v, bw.bank);
+                        for (const MpCompletion &c : order)
+                            got.push_back(key(c));
+                        const bool analytic =
+                            mode == PipelineMode::kNonPipelined ||
+                            mode == PipelineMode::kFixedPipeline;
+                        if (analytic)
+                            EXPECT_EQ(got, want) << "stage " << si;
+                        if (analytic || pn == 1) {
+                            std::vector<NodeId> last(pe, 0);
+                            std::vector<bool> seen(pe, false);
+                            for (const MpCompletion &c : order) {
+                                EXPECT_TRUE(!seen[c.bank] ||
+                                            c.node > last[c.bank])
+                                    << "bank " << c.bank << " not src-major";
+                                seen[c.bank] = true;
+                                last[c.bank] = c.node;
+                            }
+                        }
+                        std::sort(got.begin(), got.end());
+                        EXPECT_EQ(got, want) << "stage " << si;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -8,8 +8,8 @@
  * D=4 pool, gang starts waiting for the full width), admission
  * control, fail-fast construction, per-run options, latency telemetry,
  * a failure inside one die failing only its own job and returning its
- * leases, and the mixed small/sharded stress run through the pooled
- * ShardedService.
+ * leases, a preemption racing shutdown() that loses no future, and the
+ * mixed small/sharded stress run through the pooled ShardedService.
  */
 #include <gtest/gtest.h>
 
@@ -748,6 +748,90 @@ TEST(PoolScheduler, DieFailureFailsOnlyItsOwnJob)
 }
 
 // ---- Mixed concurrent workloads through the pooled service -------------
+
+TEST(PoolScheduler, PreemptionRacingShutdownResolvesEveryFuture)
+{
+    // A preemption-enabled pool runs a long low-priority job; an urgent
+    // job is submitted while another thread calls shutdown(). Each
+    // round the two race in a different order. Every accepted future
+    // must resolve (a broken promise throws from get()), the preempted
+    // job must equal an isolated run bit for bit, every lease must come
+    // back, and the counters must add up.
+    Model model = make_model(ModelKind::kGcn16, 16, 0);
+    EngineConfig cfg;
+    GraphSample long_job = make_random_sample(
+        make_ring_lattice(6000, 2), 16, 0, 0x570);
+    GraphSample urgent = make_random_sample(
+        make_ring_lattice(300, 2), 16, 0, 0x571);
+    Engine reference(model, cfg);
+    const RunResult il = reference.run(long_job);
+    const RunResult iu = reference.run(urgent);
+
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE(::testing::Message() << "round " << round);
+        PoolConfig pool;
+        pool.num_dies = 1;
+        pool.policy = PoolPolicy::kPriority;
+        pool.enable_preemption = true;
+        pool.preempt_priority_gap = 1;
+        pool.start_paused = true;
+        PoolScheduler scheduler(model, cfg, pool);
+
+        JobSpec low;
+        low.priority = 0;
+        auto fl = scheduler.submit(long_job, RunOptions{}, low);
+        scheduler.start();
+        while (scheduler.stats().peak_busy_dies == 0)
+            std::this_thread::yield();
+
+        JobSpec high;
+        high.priority = 5;
+        std::future<RunResult> fu;
+        bool accepted = false;
+        auto submit_urgent = [&] {
+            try {
+                fu = scheduler.submit(urgent, RunOptions{}, high);
+                accepted = true;
+            } catch (const std::logic_error &) {
+                // shutdown() closed admission first
+            }
+        };
+        std::thread closer;
+        if (round % 2 == 0) {
+            closer = std::thread([&] { scheduler.shutdown(); });
+            submit_urgent();
+        } else {
+            submit_urgent();
+            closer = std::thread([&] { scheduler.shutdown(); });
+        }
+        closer.join();
+
+        RunResult rl;
+        ASSERT_NO_THROW(rl = fl.get());
+        EXPECT_TRUE(rl.embeddings == il.embeddings);
+        EXPECT_EQ(rl.prediction, il.prediction);
+        EXPECT_EQ(rl.stats.total_cycles, il.stats.total_cycles);
+        if (accepted) {
+            RunResult ru;
+            ASSERT_NO_THROW(ru = fu.get());
+            EXPECT_TRUE(ru.embeddings == iu.embeddings);
+            EXPECT_EQ(ru.prediction, iu.prediction);
+        }
+
+        const PoolStats st = scheduler.stats();
+        const std::size_t n_accepted = accepted ? 2 : 1;
+        EXPECT_EQ(st.submitted(), n_accepted);
+        EXPECT_EQ(st.completed() + st.fast.failed + st.sharded.failed,
+                  n_accepted);
+        EXPECT_EQ(scheduler.pool().busy(), 0u);
+        EXPECT_EQ(st.tasks_running, 0u);
+        EXPECT_EQ(st.preemptions,
+                  scheduler.metrics()->snapshot().counters.at(
+                      "pool.preemptions_total"));
+        if (!accepted)
+            EXPECT_EQ(st.preemptions, 0u);
+    }
+}
 
 TEST(ShardedService, MixedStressStaysBitIdenticalAndDropsNothing)
 {
