@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/engine.h"
+#include "core/parallel.h"
 #include "nn/gat_layer.h"
 
 namespace flowgnn {
@@ -38,7 +39,10 @@ StageExecutor::StageExecutor(const Model &model, const SampleRef &prepared,
                              const RunOptions &opts, StageBuffers &buf,
                              LayerCheckpoint &ckpt, unsigned threads)
     : model_(model), prepared_(prepared), opts_(opts), buf_(buf),
-      threads_(threads), next_stage_(ckpt.next_stage)
+      threads_(threads),
+      lanes_(parallel_range_count(prepared.num_edges(), threads)),
+      quant_(opts.emulate_fixed_point ? &opts.fixed_point : nullptr),
+      next_stage_(ckpt.next_stage)
 {
     opts.validate();
     if (!prepared.consistent(threads))
@@ -71,7 +75,6 @@ StageExecutor::StageExecutor(const Model &model, const SampleRef &prepared,
     }
 
     ctx_ = make_layer_context(prepared, model.pna_params(), threads);
-    csr_ = CsrGraph(prepared.graph, threads);
 
     Matrix &cur = buf.cur;
     if (!resuming) {
@@ -80,8 +83,8 @@ StageExecutor::StageExecutor(const Model &model, const SampleRef &prepared,
         for (NodeId i = 0; i < n_nodes && dim > 0; ++i) {
             std::copy(prepared.node_row(i), prepared.node_row(i) + dim,
                       cur.row(i));
-            if (opts.emulate_fixed_point)
-                quantize_inplace(cur.row(i), dim, opts.fixed_point);
+            if (quant_)
+                quantize_inplace(cur.row(i), dim, *quant_);
         }
         return;
     }
@@ -111,24 +114,34 @@ StageExecutor::combine_pending_gat()
         return;
     if (!csc_)
         csc_ = std::make_unique<CscGraph>(prepared_.graph, threads_);
+    const CscGraph &csc = *csc_;
     const NodeId n_nodes = prepared_.num_nodes();
     const std::size_t width = pending_gat_->out_dim();
     Matrix &cur = buf_.cur;
     Matrix &out = buf_.out;
     Matrix &scores = buf_.gat_scores;
     scores.resize(n_nodes, pending_gat_->score_dim());
-    for (NodeId i = 0; i < n_nodes; ++i)
-        pending_gat_->node_scores(cur.row(i), scores.row(i));
-    buf_.scratch.resize(
-        std::max(buf_.scratch.size(), pending_gat_->score_dim()));
-    float *tmp = buf_.scratch.data();
     out.resize(n_nodes, width);
-    for (NodeId i = 0; i < n_nodes; ++i) {
-        gat_combine(*pending_gat_, cur.data(), scores.data(), i,
-                    csc_->srcs(i), csc_->in_degree(i), out.row(i), tmp);
-        if (opts_.emulate_fixed_point)
-            quantize_inplace(out.row(i), width, opts_.fixed_point);
-    }
+    buf_.scratch.resize(lanes_, pending_gat_->score_dim());
+    parallel_cost_ranges(
+        n_nodes, lanes_, [](std::size_t i) { return i; },
+        [&](std::size_t begin, std::size_t end, unsigned) {
+            for (std::size_t i = begin; i < end; ++i)
+                pending_gat_->node_scores(cur.row(i), scores.row(i));
+        });
+    parallel_cost_ranges(
+        n_nodes, lanes_,
+        [&](std::size_t i) { return csc.col_begin(NodeId(i)) + i; },
+        [&](std::size_t begin, std::size_t end, unsigned lane) {
+            float *tmp = buf_.scratch.row(lane);
+            for (NodeId i = NodeId(begin); i < end; ++i) {
+                gat_combine(*pending_gat_, cur.data(), scores.data(), i,
+                            csc.srcs(i), csc.in_degree(i), out.row(i),
+                            tmp);
+                if (quant_)
+                    quantize_inplace(out.row(i), width, *quant_);
+            }
+        });
     std::swap(cur, out);
     pending_gat_ = nullptr;
 }
@@ -149,87 +162,60 @@ StageExecutor::run_stage(const std::vector<MpCompletion> *order,
     // real embeddings.
     combine_pending_gat();
 
-    const bool quant = opts_.emulate_fixed_point;
-    const FixedPointFormat &fmt = opts_.fixed_point;
     const NodeId n_nodes = prepared_.num_nodes();
     Matrix &cur = buf_.cur;
     Matrix &out = buf_.out;
 
     // NT: every node's output into its 'out' row. Nodes are
-    // independent here, so the NT completion order is immaterial.
+    // independent here, so the NT completion order is immaterial and
+    // node ranges run on their own threads.
     const std::size_t out_dim = stage.out_dim();
     out.resize(n_nodes, out_dim);
-    buf_.scratch.resize(std::max(buf_.scratch.size(), stage.scratch_dim()));
-    float *tmp = buf_.scratch.data();
+    buf_.scratch.resize(lanes_, stage.scratch_dim());
     if (have_prev_agg_ && !is_gat)
-        buf_.fin.resize(prev_agg_.out_dim());
-    for (NodeId node = 0; node < n_nodes; ++node) {
-        float *y = out.row(node);
-        if (is_gat) {
-            gat->project_into(cur.row(node), y);
-        } else {
-            const float *agg = nullptr;
-            if (have_prev_agg_) {
-                float *fin = buf_.fin.data();
-                prev_agg_.finalize_into(
-                    buf_.prev_state.data() +
-                        std::size_t(node) * prev_agg_.state_dim(),
-                    ctx_.in_deg[node], ctx_.pna, fin);
-                if (quant)
-                    quantize_inplace(fin, prev_agg_.out_dim(), fmt);
-                agg = fin;
+        buf_.fin.resize(lanes_, prev_agg_.out_dim());
+    parallel_cost_ranges(
+        n_nodes, lanes_, [](std::size_t i) { return i; },
+        [&](std::size_t begin, std::size_t end, unsigned lane) {
+            float *tmp = buf_.scratch.row(lane);
+            for (NodeId node = NodeId(begin); node < end; ++node) {
+                float *y = out.row(node);
+                if (is_gat) {
+                    gat->project_into(cur.row(node), y);
+                } else {
+                    const float *agg = nullptr;
+                    if (have_prev_agg_) {
+                        float *fin = buf_.fin.row(lane);
+                        prev_agg_.finalize_into(
+                            buf_.prev_state.data() +
+                                std::size_t(node) * prev_agg_.state_dim(),
+                            ctx_.in_deg[node], ctx_.pna, fin);
+                        if (quant_)
+                            quantize_inplace(fin, prev_agg_.out_dim(),
+                                             *quant_);
+                        agg = fin;
+                    }
+                    stage.transform_into(cur.row(node), agg, node, ctx_, y,
+                                         tmp);
+                }
+                if (quant_)
+                    quantize_inplace(y, out_dim, *quant_);
             }
-            stage.transform_into(cur.row(node), agg, node, ctx_, y, tmp);
-        }
-        if (quant)
-            quantize_inplace(y, out_dim, fmt);
-    }
+        });
     // The consumed aggregates are dead from here on.
     have_prev_agg_ = false;
 
-    // MP: accumulate each source's messages into its destinations'
-    // states (buf_.next_state), in the order the MP units completed
-    // them.
+    // MP: accumulate the messages of this stage's outputs into their
+    // destinations' states (buf_.next_state).
     if (scatter_stage != nullptr) {
         prev_agg_ = scatter_stage->aggregator();
         have_prev_agg_ = true;
-        const std::size_t state_dim = prev_agg_.state_dim();
-        std::vector<float> &state = buf_.next_state;
-        state.assign(std::size_t(n_nodes) * state_dim, 0.0f);
-        for (NodeId i = 0; i < n_nodes; ++i)
-            prev_agg_.init(state.data() + std::size_t(i) * state_dim);
-
-        buf_.msg.resize(scatter_stage->msg_dim());
-        float *msg = buf_.msg.data();
-        const std::size_t msg_dim = buf_.msg.size();
-        auto scatter_row = [&](NodeId src, auto &&keep) {
-            for (std::size_t s = csr_.row_begin(src); s < csr_.row_end(src);
-                 ++s) {
-                const NodeId dst = csr_.dst(s);
-                if (!keep(dst))
-                    continue;
-                const float *ef = prepared_.edge_dim
-                    ? prepared_.edge_row(csr_.edge_id(s))
-                    : nullptr;
-                scatter_stage->message_into(out.row(src), ef, src, dst,
-                                            ctx_, msg);
-                if (quant)
-                    quantize_inplace(msg, msg_dim, fmt);
-                float *dst_state = state.data() + std::size_t(dst) * state_dim;
-                prev_agg_.accumulate(dst_state, msg);
-                if (quant)
-                    quantize_inplace(dst_state, state_dim, fmt);
-            }
-        };
-        if (order == nullptr) {
-            for (NodeId src = 0; src < n_nodes; ++src)
-                scatter_row(src, [](NodeId) { return true; });
-        } else {
-            for (const MpCompletion &c : *order)
-                scatter_row(c.node, [&](NodeId dst) {
-                    return bank_of[dst] == c.bank;
-                });
-        }
+        buf_.next_state.resize(std::size_t(n_nodes) * prev_agg_.state_dim());
+        buf_.msg.resize(lanes_, scatter_stage->msg_dim());
+        if (order == nullptr)
+            pull_scatter(*scatter_stage);
+        else
+            push_scatter(*scatter_stage, *order, bank_of);
     }
 
     // Commit. Swap instead of move-assign: the displaced buffers stay
@@ -241,6 +227,75 @@ StageExecutor::run_stage(const std::vector<MpCompletion> *order,
         pending_gat_ = gat;
     ++next_stage_;
     ++stages_run_;
+}
+
+void
+StageExecutor::push_scatter(const Layer &stage,
+                            const std::vector<MpCompletion> &order,
+                            const std::uint32_t *bank_of)
+{
+    // Each source's messages, in the order the MP units completed
+    // them, into the destinations of the completing bank.
+    if (!csr_)
+        csr_ = std::make_unique<CsrGraph>(prepared_.graph, threads_);
+    const CsrGraph &csr = *csr_;
+    const Matrix &x = buf_.out;
+    const std::size_t state_dim = prev_agg_.state_dim();
+    const std::size_t msg_dim = stage.msg_dim();
+    float *state = buf_.next_state.data();
+    for (NodeId i = 0; i < prepared_.num_nodes(); ++i)
+        prev_agg_.init(state + std::size_t(i) * state_dim);
+    float *msg = buf_.msg.row(0);
+    for (const MpCompletion &c : order) {
+        const NodeId src = c.node;
+        for (std::size_t s = csr.row_begin(src); s < csr.row_end(src); ++s) {
+            const NodeId dst = csr.dst(s);
+            if (bank_of[dst] != c.bank)
+                continue;
+            const float *ef = prepared_.edge_dim
+                ? prepared_.edge_row(csr.edge_id(s))
+                : nullptr;
+            stage.message_into(x.row(src), ef, src, dst, ctx_, msg);
+            if (quant_)
+                quantize_inplace(msg, msg_dim, *quant_);
+            float *dst_state = state + std::size_t(dst) * state_dim;
+            prev_agg_.accumulate(dst_state, msg);
+            if (quant_)
+                quantize_inplace(dst_state, state_dim, *quant_);
+        }
+    }
+}
+
+void
+StageExecutor::pull_scatter(const Layer &stage)
+{
+    // Src-major without a push: each destination gathers its column of
+    // the (src, edge id)-ordered CSC, the order a src-major push would
+    // deliver, so its sum and quantization points are the push's. The
+    // destinations split into ranges of equal in-edges plus nodes, one
+    // per thread; hubs sit on low ids in power-law graphs.
+    if (!pull_)
+        pull_ = std::make_unique<CscGraph>(
+            CscGraph::src_major(prepared_.graph, prepared_.edge_dim > 0,
+                                threads_));
+    const CscGraph &csc = *pull_;
+    const Matrix &x = buf_.out;
+    const std::size_t state_dim = prev_agg_.state_dim();
+    float *state = buf_.next_state.data();
+    parallel_cost_ranges(
+        prepared_.num_nodes(), lanes_,
+        [&](std::size_t d) { return csc.col_begin(NodeId(d)) + d; },
+        [&](std::size_t begin, std::size_t end, unsigned lane) {
+            float *msg = buf_.msg.row(lane);
+            for (NodeId d = NodeId(begin); d < end; ++d) {
+                float *dst_state = state + std::size_t(d) * state_dim;
+                prev_agg_.init(dst_state);
+                stage.gather_into(InEdges{d, csc.srcs(d), csc.edge_ids(d),
+                                          csc.in_degree(d)},
+                                  x, prepared_, ctx_, quant_, dst_state,
+                                  msg);
+            }
+        });
 }
 
 bool

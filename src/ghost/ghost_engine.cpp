@@ -177,10 +177,12 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         start_pricing();
 
     // ---- Global functional pass, src-major order ----
-    // The values are computed once over the whole graph, scattering
-    // src-major — the order a single-NT-unit die sees, which is what
-    // makes ghost runs bit-identical to unsharded single-NT runs (and
-    // keeps the result invariant in the shard count). Quantization
+    // The values are computed once over the whole graph, in src-major
+    // order — the order a single-NT-unit die sees, which is what makes
+    // ghost runs bit-identical to unsharded single-NT runs (and keeps
+    // the result invariant in the shard count). With no recorded
+    // order the executor pulls that order over node ranges on
+    // `host_cores` threads, a pooled job's leased dies. Quantization
     // points are the engine's own, and since its quantizer is
     // idempotent, the re-quantization at every boundary crossing is
     // value-preserving. Only this pass checkpoints: it is the sole

@@ -10,8 +10,9 @@
  * cleanly: each die prices its phases (owned vertices pay full NT
  * work; ghost vertices re-stream their received embeddings at zero
  * accumulate cost, GAT ghosts pay the local projection), while the
- * values are computed once globally, scattering src-major. Src-major
- * is exactly the arrival order of a single-NT-unit die, so ghost
+ * values are computed once globally, in src-major order, by a pull
+ * over node ranges on the run's host threads. Src-major is exactly
+ * the arrival order of a single-NT-unit die, so ghost
  * results are bit-identical to unsharded single-NT runs and within
  * float-reassociation tolerance of multi-NT ones.
  *

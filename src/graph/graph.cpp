@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -76,12 +77,13 @@ count_endpoints(const GraphRef &g, unsigned threads, bool by_src)
  * within every group — per-thread-range counts, a serial prefix scan
  * interleaving (node, thread) in that order, then a parallel stable
  * fill where thread t writes its own range at precomputed cursors.
- * Bit-identical to the serial build for every thread count.
+ * Bit-identical to the serial build for every thread count. A null
+ * `edge_id` skips the edge ids.
  */
 void
 build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
                 const char *what, std::vector<std::size_t> &offsets,
-                std::vector<NodeId> &val, std::vector<EdgeId> &edge_id)
+                std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
 {
     const NodeId n = g.num_nodes();
     const std::size_t e = g.num_edges();
@@ -119,7 +121,8 @@ build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
     offsets[n] = running;
 
     val.resize(e);
-    edge_id.resize(e);
+    if (edge_id)
+        edge_id->resize(e);
     parallel_ranges(
         e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
             std::vector<std::uint32_t> &cur = counts[tid];
@@ -128,7 +131,8 @@ build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
                 const NodeId d = g.dst(i);
                 const std::uint32_t slot = cur[by_src ? s : d]++;
                 val[slot] = by_src ? d : s;
-                edge_id[slot] = static_cast<EdgeId>(i);
+                if (edge_id)
+                    (*edge_id)[slot] = static_cast<EdgeId>(i);
             }
         });
 }
@@ -174,7 +178,7 @@ CsrGraph::CsrGraph(const GraphRef &graph, unsigned threads)
     : num_nodes_(graph.num_nodes())
 {
     build_adjacency(graph, threads, /*by_src=*/true, "CsrGraph",
-                    offsets_, dst_, edge_id_);
+                    offsets_, dst_, &edge_id_);
 }
 
 CscGraph::CscGraph(const CooGraph &coo) : CscGraph(GraphRef(coo), 1) {}
@@ -183,7 +187,61 @@ CscGraph::CscGraph(const GraphRef &graph, unsigned threads)
     : num_nodes_(graph.num_nodes())
 {
     build_adjacency(graph, threads, /*by_src=*/false, "CscGraph",
-                    offsets_, src_, edge_id_);
+                    offsets_, src_, &edge_id_);
+}
+
+CscGraph
+CscGraph::src_major(const GraphRef &graph, bool with_edge_ids,
+                    unsigned threads)
+{
+    CscGraph g;
+    g.num_nodes_ = graph.num_nodes();
+    build_adjacency(graph, threads, /*by_src=*/false, "CscGraph",
+                    g.offsets_, g.src_, with_edge_ids ? &g.edge_id_ : nullptr);
+    // A column is in edge-id order, so every stretch of it whose
+    // sources do not decrease is in (src, edge id) order. An edge list
+    // sorted by source, or one with its reverse appended
+    // (CooGraph::with_reverse_edges, the generators), gives each
+    // column at most two such runs: those are merged in linear time,
+    // and any other column is sorted. The key's low half is the edge id
+    // or, without ids, the position in the column: both ascend in
+    // edge order.
+    const unsigned ranges = parallel_range_count(g.num_edges(), threads);
+    parallel_cost_ranges(
+        g.num_nodes_, ranges, [&](std::size_t d) { return g.offsets_[d]; },
+        [&](std::size_t begin, std::size_t end, unsigned) {
+            std::vector<std::uint64_t> keys, merged;
+            for (std::size_t d = begin; d < end; ++d) {
+                NodeId *src = g.src_.data() + g.offsets_[d];
+                EdgeId *eid = with_edge_ids
+                    ? g.edge_id_.data() + g.offsets_[d]
+                    : nullptr;
+                const std::size_t deg = g.offsets_[d + 1] - g.offsets_[d];
+                NodeId *run_end = std::is_sorted_until(src, src + deg);
+                if (run_end == src + deg)
+                    continue;
+                keys.resize(deg);
+                for (std::size_t k = 0; k < deg; ++k)
+                    keys[k] = std::uint64_t(src[k]) << 32 |
+                              (eid ? eid[k] : EdgeId(k));
+                const std::uint64_t *sorted = keys.data();
+                if (std::is_sorted(run_end, src + deg)) {
+                    merged.resize(deg);
+                    const auto mid = keys.begin() + (run_end - src);
+                    std::merge(keys.begin(), mid, mid, keys.end(),
+                               merged.begin());
+                    sorted = merged.data();
+                } else {
+                    std::sort(keys.begin(), keys.end());
+                }
+                for (std::size_t k = 0; k < deg; ++k) {
+                    src[k] = static_cast<NodeId>(sorted[k] >> 32);
+                    if (eid)
+                        eid[k] = static_cast<EdgeId>(sorted[k]);
+                }
+            }
+        });
+    return g;
 }
 
 } // namespace flowgnn

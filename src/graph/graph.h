@@ -171,8 +171,21 @@ class CscGraph
   public:
     CscGraph() = default;
     explicit CscGraph(const CooGraph &coo);
-    /** Parallel build from any edge view; see CsrGraph(GraphRef). */
+    /** Parallel build from any edge view; see CsrGraph(GraphRef).
+     * Each column lists its in-edges in edge-stream order. */
     explicit CscGraph(const GraphRef &graph, unsigned threads = 0);
+
+    /**
+     * The same columns, each put into (src, edge id) order — the order
+     * in which a src-major pass over the CSR reaches the destination —
+     * in place, over column ranges balanced by edge count.
+     * Bit-identical for every thread count. Without `with_edge_ids`
+     * the edge ids (4 B per edge) are never stored, for a caller that
+     * reads no edge features: edge_id() must not be called and
+     * edge_ids() returns null.
+     */
+    static CscGraph src_major(const GraphRef &graph, bool with_edge_ids,
+                              unsigned threads = 0);
 
     NodeId num_nodes() const { return num_nodes_; }
     std::size_t num_edges() const { return src_.size(); }
@@ -185,6 +198,12 @@ class CscGraph
 
     /** Node n's in-neighbors, in_degree(n) contiguous entries. */
     const NodeId *srcs(NodeId n) const { return src_.data() + col_begin(n); }
+    /** Their edge ids, in the same order (null if not stored). */
+    const EdgeId *
+    edge_ids(NodeId n) const
+    {
+        return edge_id_.empty() ? nullptr : edge_id_.data() + col_begin(n);
+    }
 
     std::uint32_t in_degree(NodeId n) const
     {

@@ -65,4 +65,24 @@ Layer::message_into(const float *, const float *, NodeId, NodeId,
                            ": layer has no message function");
 }
 
+void
+Layer::gather_into(const InEdges &in, const Matrix &x,
+                   const SampleRef &sample, const LayerContext &ctx,
+                   const FixedPointFormat *quant, float *state,
+                   float *msg) const
+{
+    const Aggregator agg = aggregator();
+    for (std::size_t k = 0; k < in.count; ++k) {
+        const NodeId src = in.srcs[k];
+        const float *ef =
+            sample.edge_dim ? sample.edge_row(in.edge_ids[k]) : nullptr;
+        message_into(x.row(src), ef, src, in.dst, ctx, msg);
+        if (quant)
+            quantize_inplace(msg, agg.msg_dim(), *quant);
+        agg.accumulate(state, msg);
+        if (quant)
+            quantize_inplace(state, agg.state_dim(), *quant);
+    }
+}
+
 } // namespace flowgnn

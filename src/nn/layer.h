@@ -24,6 +24,7 @@
 
 #include "graph/sample.h"
 #include "nn/aggregator.h"
+#include "tensor/fixed_point.h"
 #include "tensor/linear.h"
 
 namespace flowgnn {
@@ -76,6 +77,17 @@ LayerContext make_layer_context(const SampleRef &sample,
  */
 void encode_edge_message(const Linear &enc, const float *x_src,
                          const float *edge_feat, std::size_t dim, float *m);
+
+/** One destination's in-edges, in the order their messages are
+ * summed. */
+struct InEdges {
+    NodeId dst = 0;
+    const NodeId *srcs = nullptr;     ///< each in-edge's source
+    /** Each in-edge's id (its feature row); null when the sample has
+     * no edge features. */
+    const EdgeId *edge_ids = nullptr;
+    std::size_t count = 0;
+};
 
 /**
  * Base class of all FlowGNN layer kernels.
@@ -138,6 +150,27 @@ class Layer
     virtual void message_into(const float *x_src, const float *edge_feat,
                               NodeId src, NodeId dst,
                               const LayerContext &ctx, float *msg) const;
+
+    /**
+     * Folds the messages along `in`'s edges into the destination's
+     * aggregator state, in order: per edge, message_into, then
+     * aggregator().accumulate, and with `quant` set each message and
+     * then the state are quantized after their step. This default is
+     * that loop; an override is a fused kernel that must stay
+     * bit-identical to it (tests/test_layers.cpp pins each).
+     *
+     * @param x      source embeddings at this layer's input, one row
+     *               per node
+     * @param sample the edge features (edge_row of each edge id)
+     * @param quant  the fixed-point format, or null for fp32
+     * @param state  the destination's aggregator state
+     * @param msg    msg_dim() floats of scratch
+     */
+    virtual void gather_into(const InEdges &in, const Matrix &x,
+                             const SampleRef &sample,
+                             const LayerContext &ctx,
+                             const FixedPointFormat *quant, float *state,
+                             float *msg) const;
 
     /**
      * gamma: writes the new embedding, out_dim() floats, to `out` from

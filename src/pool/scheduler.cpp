@@ -686,6 +686,13 @@ PoolScheduler::shutdown()
         die.join();
 }
 
+bool
+PoolScheduler::closed() const
+{
+    MutexLock lock(&mutex_);
+    return closed_;
+}
+
 PoolStats
 PoolScheduler::stats() const
 {

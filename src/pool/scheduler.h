@@ -292,6 +292,10 @@ class PoolScheduler
     /** Drains, stops admission, joins the dies (idempotent). */
     void shutdown();
 
+    /** True once shutdown() has closed admission: from then on every
+     * submit throws std::logic_error. */
+    bool closed() const;
+
     PoolStats stats() const;
 
     /**

@@ -38,14 +38,24 @@ FixedPointFormat::name_into(char *buffer, std::size_t size) const
     return buffer;
 }
 
+namespace {
+
+/** Round to the nearest multiple of `ulp`, saturate to [lo, hi]. */
+float
+quantize_to(float value, double ulp, double lo, double hi)
+{
+    double scaled = static_cast<double>(value) / ulp;
+    double rounded = std::nearbyint(scaled) * ulp;
+    return static_cast<float>(std::clamp(rounded, lo, hi));
+}
+
+} // namespace
+
 float
 quantize(float value, const FixedPointFormat &format)
 {
-    double scaled = static_cast<double>(value) / format.ulp();
-    double rounded = std::nearbyint(scaled) * format.ulp();
-    double clamped =
-        std::clamp(rounded, format.min_value(), format.max_value());
-    return static_cast<float>(clamped);
+    return quantize_to(value, format.ulp(), format.min_value(),
+                       format.max_value());
 }
 
 void
@@ -58,8 +68,13 @@ void
 quantize_inplace(float *values, std::size_t count,
                  const FixedPointFormat &format)
 {
+    // The format's constants once per buffer rather than per value:
+    // the same doubles, so the same bits.
+    const double ulp = format.ulp();
+    const double lo = format.min_value();
+    const double hi = format.max_value();
     for (std::size_t i = 0; i < count; ++i)
-        values[i] = quantize(values[i], format);
+        values[i] = quantize_to(values[i], ulp, lo, hi);
 }
 
 } // namespace flowgnn

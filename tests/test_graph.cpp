@@ -1,7 +1,11 @@
 /** @file COO/CSR/CSC graph representation tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "graph/graph.h"
+#include "tensor/rng.h"
 
 namespace flowgnn {
 namespace {
@@ -124,6 +128,75 @@ TEST(Conversions, SelfLoopsAndMultiEdgesPreserved)
     CscGraph csc(g);
     EXPECT_EQ(csc.in_degree(1), 2u);
     EXPECT_EQ(csc.in_degree(0), 1u);
+}
+
+/** Every destination's (src, edge id) pairs in the order a src-major
+ * pass over the CSR reaches it. */
+std::vector<std::vector<std::pair<NodeId, EdgeId>>>
+push_order(const CooGraph &g)
+{
+    std::vector<std::vector<std::pair<NodeId, EdgeId>>> cols(g.num_nodes);
+    CsrGraph csr(g);
+    for (NodeId s = 0; s < g.num_nodes; ++s)
+        for (std::size_t i = csr.row_begin(s); i < csr.row_end(s); ++i)
+            cols[csr.dst(i)].push_back({s, csr.edge_id(i)});
+    return cols;
+}
+
+void
+expect_src_major(const CooGraph &g, unsigned threads)
+{
+    const auto want = push_order(g);
+    const CscGraph csc = CscGraph::src_major(g, true, threads);
+    const CscGraph bare = CscGraph::src_major(g, false, threads);
+    ASSERT_EQ(csc.num_edges(), g.num_edges());
+    ASSERT_EQ(bare.num_edges(), g.num_edges());
+    for (NodeId d = 0; d < g.num_nodes; ++d) {
+        ASSERT_EQ(csc.in_degree(d), want[d].size());
+        ASSERT_EQ(bare.in_degree(d), want[d].size());
+        ASSERT_EQ(bare.edge_ids(d), nullptr);
+        for (std::size_t k = 0; k < want[d].size(); ++k) {
+            ASSERT_EQ(csc.srcs(d)[k], want[d][k].first) << "column " << d;
+            ASSERT_EQ(csc.edge_ids(d)[k], want[d][k].second)
+                << "column " << d;
+            ASSERT_EQ(bare.srcs(d)[k], want[d][k].first) << "column " << d;
+        }
+    }
+}
+
+TEST(CscGraph, SrcMajorColumnsFollowTheSrcMajorPush)
+{
+    // One sorted run per column (edges by source), two runs (an edge
+    // list with its reverse appended), and shuffled edges with
+    // self-loops and multi-edges (a full sort), at two sizes: the
+    // larger is above kSerialCutoff edges, so column ranges run on
+    // their own threads.
+    Rng rng(0x5C);
+    for (const NodeId n : {NodeId(40), NodeId(3000)}) {
+        CooGraph sorted;
+        sorted.num_nodes = n;
+        const std::size_t fan = n < 100 ? 3 : 30;
+        for (NodeId s = 0; s < n; ++s)
+            for (std::size_t k = 0; k < fan; ++k)
+                sorted.edges.push_back(
+                    {s, NodeId(rng.uniform_index(n))});
+        const CooGraph both = sorted.with_reverse_edges();
+        CooGraph shuffled = both;
+        for (std::size_t i = shuffled.edges.size(); i > 1; --i)
+            std::swap(shuffled.edges[i - 1],
+                      shuffled.edges[rng.uniform_index(i)]);
+        shuffled.edges.push_back({1, 1});
+        shuffled.edges.push_back({2, 1});
+        shuffled.edges.push_back({2, 1});
+        const CooGraph *graphs[] = {&sorted, &both, &shuffled};
+        for (const CooGraph *g : graphs)
+            for (unsigned threads : {1u, 3u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " E=" << g->num_edges()
+                             << " threads=" << threads);
+                expect_src_major(*g, threads);
+            }
+    }
 }
 
 } // namespace

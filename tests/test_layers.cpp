@@ -1,7 +1,9 @@
 /** @file Layer-kernel unit tests (phi / gamma semantics per model). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "graph/generators.h"
 #include "nn/dgn_layer.h"
@@ -120,6 +122,56 @@ TEST(GcnLayer, TransformAddsScaledSelfLoop)
     Vec out = transform(gcn, {4, 8}, {1, 1}, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.0f + 2.0f);
     EXPECT_FLOAT_EQ(out[1], 1.0f + 4.0f);
+}
+
+TEST(GcnLayer, FusedGatherIsBitIdenticalToTheDefault)
+{
+    // The fused row kernel against Layer's message_into + accumulate
+    // loop, bit for bit: across column blocks (dims 7, 16, 100), across
+    // norm batches (a 150-edge hub), on a zero-in-degree destination,
+    // a repeated source and self-loops, in fp32 and fixed point.
+    CooGraph g;
+    g.num_nodes = 160;
+    for (NodeId s = 1; s < 151; ++s)
+        g.edges.push_back({s, 0});
+    g.edges.push_back({0, 0});
+    g.edges.push_back({3, 1});
+    g.edges.push_back({3, 1});
+    g.edges.push_back({2, 2});
+    g.edges.push_back({1, 2});
+    for (NodeId s = 4; s < 159; ++s)
+        g.edges.push_back({s, s + 1});
+    const CscGraph csc = CscGraph::src_major(g, true, 1);
+    ASSERT_EQ(csc.in_degree(0), 151u);
+    ASSERT_EQ(csc.in_degree(3), 0u);
+
+    for (std::size_t dim : {7u, 16u, 100u}) {
+        Rng rng(dim);
+        GcnLayer gcn(dim, 4, Activation::kRelu, rng);
+        GraphSample s = testing::make_random_sample(g, dim, 0, 0x6A + dim);
+        const SampleRef ref(s);
+        const LayerContext ctx = make_layer_context(s);
+        const FixedPointFormat *formats[] = {nullptr, &kFixed16_10};
+        for (const FixedPointFormat *quant : formats) {
+            Vec fused(dim), plain(dim), msg(dim);
+            for (NodeId d = 0; d < g.num_nodes; ++d) {
+                SCOPED_TRACE(::testing::Message()
+                             << "dim " << dim << " dst " << d
+                             << (quant ? " fixed" : " fp32"));
+                const InEdges in{d, csc.srcs(d), csc.edge_ids(d),
+                                 csc.in_degree(d)};
+                std::fill(fused.begin(), fused.end(), 0.0f);
+                std::fill(plain.begin(), plain.end(), 0.0f);
+                gcn.gather_into(in, s.node_features, ref, ctx, quant,
+                                fused.data(), msg.data());
+                gcn.Layer::gather_into(in, s.node_features, ref, ctx,
+                                       quant, plain.data(), msg.data());
+                ASSERT_EQ(std::memcmp(fused.data(), plain.data(),
+                                      dim * sizeof(float)),
+                          0);
+            }
+        }
+    }
 }
 
 TEST(GinLayer, MessageIsReluOfSumWithEdgeEncoding)

@@ -752,11 +752,14 @@ TEST(PoolScheduler, DieFailureFailsOnlyItsOwnJob)
 TEST(PoolScheduler, PreemptionRacingShutdownResolvesEveryFuture)
 {
     // A preemption-enabled pool runs a long low-priority job; an urgent
-    // job is submitted while another thread calls shutdown(). Each
-    // round the two race in a different order. Every accepted future
-    // must resolve (a broken promise throws from get()), the preempted
-    // job must equal an isolated run bit for bit, every lease must come
-    // back, and the counters must add up.
+    // job is submitted while another thread calls shutdown(). Even
+    // rounds close admission first (the submit waits for closed()), so
+    // the urgent job is refused while shutdown drains; odd rounds
+    // submit first, so shutdown drains the urgent job and the
+    // preemption it triggers. Every accepted future must resolve (a
+    // broken promise throws from get()), the preempted job must equal
+    // an isolated run bit for bit, every lease must come back, and the
+    // counters must add up.
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     EngineConfig cfg;
     GraphSample long_job = make_random_sample(
@@ -799,9 +802,13 @@ TEST(PoolScheduler, PreemptionRacingShutdownResolvesEveryFuture)
         std::thread closer;
         if (round % 2 == 0) {
             closer = std::thread([&] { scheduler.shutdown(); });
+            while (!scheduler.closed())
+                std::this_thread::yield();
             submit_urgent();
+            EXPECT_FALSE(accepted);
         } else {
             submit_urgent();
+            EXPECT_TRUE(accepted);
             closer = std::thread([&] { scheduler.shutdown(); });
         }
         closer.join();
